@@ -40,10 +40,8 @@ from .measure_solution import (
     shift_equivariance_check,
 )
 from .path_space import (
-    NoiseWindow,
-    PathWindow,
     SampledFunction,
-    shift_noise,
+    Window,
     shift_path,
     traj_metric,
     truncate_path,
@@ -64,6 +62,7 @@ from .random_measure import (
 from .recurrence import (
     NoiseModel,
     UpdateMap,
+    advance,
     contraction_map,
     fractional_map,
     iterate_backward,
@@ -81,13 +80,13 @@ __all__ = [
     "InverseUnavailableError",
     "MeasureBuilder",
     "NoiseModel",
-    "NoiseWindow",
     "ParticleMeasure",
-    "PathWindow",
     "RotationState",
     "SampledFunction",
     "StatReport",
     "UpdateMap",
+    "Window",
+    "advance",
     "char_spec_grid",
     "conditional_char_statistic",
     "conditional_law_demo",
@@ -116,7 +115,6 @@ __all__ = [
     "rotation_invariance_demo",
     "shift_equivariance_check",
     "shift_measure",
-    "shift_noise",
     "shift_path",
     "stationarity_suite",
     "stationary_sampler",

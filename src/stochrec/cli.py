@@ -13,6 +13,8 @@ import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import __version__
 from .diagnostics import (
     DiagnosticsConfig,
@@ -36,9 +38,9 @@ from .measure_solution import (
     shift_equivariance_check,
     consistency_check,
 )
-from .path_space import NoiseWindow
+from .path_space import Window
 from .random_measure import CylinderSet, StatReport, shift_measure
-from .recurrence import NoiseModel, update_map_from_name
+from .recurrence import NoiseModel, advance, update_map_from_name
 from .seeds import PRNG_NAME, draw_u64, draw_unit, substream
 
 HOPF_TOLERANCE = 1e-9
@@ -89,9 +91,14 @@ def _finish_manifest(command: str, args, params: dict, started: str) -> RunManif
 
 
 def _write_json(path: str, payload: dict) -> None:
+    # strict JSON: serialize before opening, so a report holding NaN or
+    # Infinity is refused without leaving a partial file behind
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"report not written, it holds a non-finite number ({exc})") from None
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def cmd_simulate(args) -> int:
@@ -103,9 +110,11 @@ def cmd_simulate(args) -> int:
         1, args.steps
     )
     x0 = float(draw_unit(substream(args.seed, "simulate-init"), 0))
-    path = [x0]
-    for xi in noise.values:
-        path.append(float(update_map.apply(path[-1], xi)))
+    path = np.empty(args.steps + 1)
+    path[0] = x0
+    advance(update_map.apply, x0, noise.values, out=path[1:])
+    # Python floats: their repr is the shortest round-trip decimal
+    path, noise_values = path.tolist(), noise.values.tolist()
     manifest = _finish_manifest(
         "simulate", args, {"map": args.map_name, "steps": args.steps}, started
     )
@@ -113,7 +122,7 @@ def cmd_simulate(args) -> int:
         fh.write("# manifest: " + json.dumps(manifest.as_dict(), sort_keys=True) + "\n")
         fh.write("index,x,xi\n")
         fh.write(f"0,{path[0]!r},\n")
-        for i, xi in enumerate(noise.values, start=1):
+        for i, xi in enumerate(noise_values, start=1):
             fh.write(f"{i},{path[i]!r},{xi!r}\n")
     return 0
 
@@ -215,7 +224,9 @@ def _diagnose_stationarity(args) -> list[StatReport]:
         window=config.window,
         init_seed_stream=substream(args.seed, "stationarity-init"),
     )
-    deltas = default_cylinder_family(config.window, max(max(args.shifts), 0))
+    deltas = default_cylinder_family(
+        config.window, max(max(args.shifts), 0), min(min(args.shifts), 0)
+    )
     return stationarity_suite(builder, args.shifts, deltas, config, threads=args.threads)
 
 
@@ -297,8 +308,8 @@ def _diagnose_consistency(args) -> list[StatReport]:
         fut_b = NoiseModel(seed=int(draw_u64(future_root, 2 * pair + 1))).window(
             split + 1, hi - split
         )
-        noise_a = NoiseWindow(offset=lo + 1, values=past.values + fut_a.values)
-        noise_b = NoiseWindow(offset=lo + 1, values=past.values + fut_b.values)
+        noise_a = Window(offset=lo + 1, values=np.concatenate([past.values, fut_a.values]))
+        noise_b = Window(offset=lo + 1, values=np.concatenate([past.values, fut_b.values]))
         if not consistency_check(builder, noise_a, noise_b, split):
             failures += 1
     return [
@@ -457,12 +468,17 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     _apply_suite_defaults(args)
     try:
+        if args.threads < 1:
+            raise ValueError("threads must be at least 1")
         return args.func(args)
     except OSError as exc:
         print(f"stochrec: i/o error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"stochrec: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"stochrec: out of memory, reduce the sizes: {exc}", file=sys.stderr)
         return 2
 
 

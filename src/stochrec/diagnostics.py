@@ -34,7 +34,7 @@ from .random_measure import (
     ks_one_sample_threshold,
     shift_measure,
 )
-from .recurrence import UpdateMap, fractional_map
+from .recurrence import UpdateMap, advance, fractional_map
 from .seeds import draw_normal, draw_u64, draw_unit, substream
 
 __all__ = [
@@ -108,10 +108,8 @@ def _chain_endpoint(
     the whole batch).  Matches running ``stationary_sampler`` per run with
     the corresponding noise window, vectorized.
     """
-    x = draw_unit(init_seeds, 0)
-    for k in range(start + 1, end + 1):
-        x = update_map.apply(x, draw_unit(noise_seeds, k))
-    return x
+    noise = (draw_unit(noise_seeds, k) for k in range(start + 1, end + 1))
+    return advance(update_map.apply, draw_unit(init_seeds, 0), noise)
 
 
 def tsirelson_samples(
@@ -214,21 +212,28 @@ def conditional_char_statistic(
     )
 
 
-def default_cylinder_family(window: tuple[int, int], max_shift: int) -> list[CylinderSet]:
+def default_cylinder_family(
+    window: tuple[int, int], max_shift: int, min_shift: int = 0
+) -> list[CylinderSet]:
     """A fixed rectangle family valid for the window and all its shifts.
 
     Rectangles start one step after the window's left edge (the left-edge
     coordinate is pinned to the initializer ensemble and is not part of the
-    translation-invariant regime) and end early enough to survive a shift by
-    ``max_shift``.
+    translation-invariant regime), moved right by ``-min_shift`` so that a
+    shift by a negative ``min_shift`` never reads that coordinate, and end
+    early enough to survive a shift by ``max_shift``.
     """
     lo, hi = window
     if max_shift < 0:
         raise ValueError("max_shift must be nonnegative")
-    first = lo + 1
+    if min_shift > 0:
+        raise ValueError("min_shift must be nonpositive")
+    first = lo + 1 - min_shift
     last = hi - max_shift
     if first > last:
-        raise CoverageError(f"window {window} too short for shifts up to {max_shift}")
+        raise CoverageError(
+            f"window {window} too short for shifts from {min_shift} to {max_shift}"
+        )
     family = [
         CylinderSet(start=first, intervals=((0.0, 0.5),)),
         CylinderSet(start=first, intervals=((0.25, 0.75),)),
@@ -316,6 +321,8 @@ def rotation_invariance_demo(
     ``t``, and reports the worst deviation of the sample mean from zero and
     of the sample covariance from the identity.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"rotation angle must be finite, got {t}")
     n = config.sample_size
     cloud = draw_normal(substream(config.seed, "rotation-cloud"), np.arange(2 * n))
     cloud = cloud.reshape(n, 2) + np.asarray(mean)
@@ -341,8 +348,8 @@ def _stationary_gaussian_path(a: float, seed: int, lo: int, hi: int) -> np.ndarr
     y[0] = float(draw_normal(substream(seed, "pair-y0"), 0))
     innov_stream = substream(seed, "pair-innov")
     scale = math.sqrt(1.0 - a * a)
-    for k in range(lo + 1, hi + 1):
-        y[k - lo] = a * y[k - lo - 1] + scale * float(draw_normal(innov_stream, k))
+    innovations = (scale * float(draw_normal(innov_stream, k)) for k in range(lo + 1, hi + 1))
+    advance(lambda x, e: a * x + e, y[0], innovations, out=y[1:])
     return y
 
 

@@ -19,9 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CoverageError
-from .path_space import NoiseWindow, shift_noise
-from .random_measure import MeasureSampler, ParticleMeasure, shift_measure
-from .recurrence import NoiseModel, UpdateMap
+from .path_space import Window, shift_path
+from .random_measure import MeasureSampler, ParticleMeasure, integrate, shift_measure
+from .recurrence import NoiseModel, UpdateMap, advance
 from .seeds import draw_u64, draw_unit, substream
 
 __all__ = [
@@ -104,7 +104,7 @@ class MeasureBuilder:
         return replace(self, window=(self.window[0] + t, self.window[1] + t))
 
 
-def conditional_measure(builder: MeasureBuilder, noise: NoiseWindow) -> ParticleMeasure:
+def conditional_measure(builder: MeasureBuilder, noise: Window) -> ParticleMeasure:
     """Freeze the noise and run the initializer ensemble through it.
 
     Draws ``particle_count`` independent initializers (one splitmix64 child
@@ -125,10 +125,8 @@ def conditional_measure(builder: MeasureBuilder, noise: NoiseWindow) -> Particle
 
     columns = np.empty((builder.particle_count, hi - lo + 1))
     columns[:, 0] = etas
-    state = etas
-    for k in range(lo + 1, hi + 1):
-        state = builder.update_map.apply(state, noise.coordinate(k))
-        columns[:, k - lo] = state
+    steps = noise.values[lo + 1 - noise.offset : hi + 1 - noise.offset]
+    advance(builder.update_map.apply, etas, steps, out=columns[:, 1:])
     columns.setflags(write=False)
     return ParticleMeasure.from_matrix(lo, columns)
 
@@ -171,11 +169,11 @@ def hopf_lhs(mu: ParticleMeasure, spec: CharSpec) -> complex:
     block = _probe_columns(mu, spec, spec.n + spec.m + 1)
     freqs = np.asarray(spec.lambdas + (spec.rho,))
     phases = (block * freqs).sum(axis=1)
-    return complex(np.sum(mu.weights * np.exp(1j * phases)))
+    return complex(integrate(mu, np.exp(1j * phases)))
 
 
 def hopf_rhs(
-    mu: ParticleMeasure, noise: NoiseWindow, spec: CharSpec, update_map: UpdateMap
+    mu: ParticleMeasure, noise: Window, spec: CharSpec, update_map: UpdateMap
 ) -> complex:
     """Same functional with the last coordinate replaced by the map's output.
 
@@ -186,11 +184,11 @@ def hopf_rhs(
     freqs = np.asarray(spec.lambdas)
     phases = (block * freqs).sum(axis=1)
     stepped = update_map.apply(block[:, -1], noise.coordinate(spec.n + spec.m + 1))
-    return complex(np.sum(mu.weights * np.exp(1j * (phases + spec.rho * stepped))))
+    return complex(integrate(mu, np.exp(1j * (phases + spec.rho * stepped))))
 
 
 def hopf_residual(
-    mu: ParticleMeasure, noise: NoiseWindow, spec: CharSpec, update_map: UpdateMap
+    mu: ParticleMeasure, noise: Window, spec: CharSpec, update_map: UpdateMap
 ) -> float:
     """``|lhs - rhs|`` of the characteristic-functional identity.
 
@@ -204,7 +202,7 @@ def hopf_residual(
 
 
 def residual_report(
-    mu: ParticleMeasure, noise: NoiseWindow, spec: CharSpec, update_map: UpdateMap
+    mu: ParticleMeasure, noise: Window, spec: CharSpec, update_map: UpdateMap
 ) -> dict:
     """Both sides of the identity and their distance, as a JSON-ready dict."""
     lhs = hopf_lhs(mu, spec)
@@ -281,7 +279,7 @@ def perturb_last_coordinate(mu: ParticleMeasure, seed: int) -> ParticleMeasure:
 
 
 def consistency_check(
-    builder: MeasureBuilder, noise_a: NoiseWindow, noise_b: NoiseWindow, n: int
+    builder: MeasureBuilder, noise_a: Window, noise_b: Window, n: int
 ) -> bool:
     """Do two noise paths sharing history up to ``n`` give the same past?
 
@@ -305,7 +303,7 @@ def consistency_check(
 
 
 def shift_equivariance_check(
-    builder: MeasureBuilder, noise: NoiseWindow, t: int, *, atol: float = 1e-12
+    builder: MeasureBuilder, noise: Window, t: int, *, atol: float = 1e-12
 ) -> bool:
     """Translation-equivariance of the construction under matched seeds.
 
@@ -317,7 +315,7 @@ def shift_equivariance_check(
     which is the almost-sure (not sure) nature of the identity.
     """
     lhs = shift_measure(conditional_measure(builder, noise), -t)
-    rhs = conditional_measure(builder.translated(t), shift_noise(noise, -t))
+    rhs = conditional_measure(builder.translated(t), shift_path(noise, -t))
     if lhs.offset != rhs.offset or lhs.values.shape != rhs.values.shape:
         return False
     return bool(np.max(np.abs(lhs.values - rhs.values)) <= atol)

@@ -1,9 +1,9 @@
 """Trajectory and sequence primitives: indexed windows, shifts, and the
 summed-and-damped sup metric on sampled functions.
 
-A window stores a finite stretch of a bi-infinite real sequence together with
-the absolute index of its first entry, so the coordinate at absolute index
-``i`` is ``values[i - offset]``.
+A window stores a finite stretch of a bi-infinite real sequence (a path of
+states or the driving noise) together with the absolute index of its first
+entry, so the coordinate at absolute index ``i`` is ``values[i - offset]``.
 """
 
 from dataclasses import dataclass
@@ -14,31 +14,55 @@ import numpy as np
 from .errors import CoverageError
 
 __all__ = [
-    "PathWindow",
-    "NoiseWindow",
+    "Window",
     "SampledFunction",
     "TrajMetric",
     "shift_path",
-    "shift_noise",
     "truncate_path",
     "traj_metric",
 ]
 
 
-@dataclass(frozen=True)
-class PathWindow:
-    """A finite window of a real-valued sequence of state values."""
+def frozen_array(values) -> np.ndarray:
+    """``values`` as a read-only float64 array.
+
+    Arrays that are already read-only are shared; anything writable is
+    copied first, so a caller's array is never frozen or captured.
+    """
+    array = np.asarray(values, dtype=np.float64)
+    if array.flags.writeable:
+        array = array.copy()
+        array.setflags(write=False)
+    return array
+
+
+@dataclass(frozen=True, eq=False)
+class Window:
+    """A finite window of a real-valued sequence, backed by a read-only array.
+
+    Windows compare equal when their offsets and their exact values agree.
+    Values must be finite.
+    """
 
     offset: int
-    values: tuple[float, ...]
+    values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if not self.values:
-            raise ValueError("PathWindow requires at least one value")
+        values = frozen_array(self.values)
+        if values.ndim != 1 or values.size == 0:
+            raise ValueError("Window requires a nonempty 1-d sequence of values")
+        if not np.isfinite(values).all():
+            raise ValueError("Window values must be finite")
+        object.__setattr__(self, "offset", int(self.offset))
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other):
+        if not isinstance(other, Window):
+            return NotImplemented
+        return self.offset == other.offset and np.array_equal(self.values, other.values)
 
     def __len__(self) -> int:
-        return len(self.values)
+        return self.values.size
 
     @property
     def first_index(self) -> int:
@@ -46,45 +70,7 @@ class PathWindow:
 
     @property
     def last_index(self) -> int:
-        return self.offset + len(self.values) - 1
-
-    def covers(self, index: int) -> bool:
-        return self.first_index <= index <= self.last_index
-
-    def coordinate(self, index: int) -> float:
-        """Value at absolute index ``index``; raises outside the window."""
-        if not self.covers(index):
-            raise CoverageError(
-                f"index {index} outside window [{self.first_index}, {self.last_index}]"
-            )
-        return self.values[index - self.offset]
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class NoiseWindow:
-    """A finite window of the driving noise sequence, indexed like a path."""
-
-    offset: int
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if not self.values:
-            raise ValueError("NoiseWindow requires at least one value")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def first_index(self) -> int:
-        return self.offset
-
-    @property
-    def last_index(self) -> int:
-        return self.offset + len(self.values) - 1
+        return self.offset + self.values.size - 1
 
     def covers(self, index: int) -> bool:
         return self.first_index <= index <= self.last_index
@@ -93,14 +79,12 @@ class NoiseWindow:
         return self.first_index <= first and last <= self.last_index
 
     def coordinate(self, index: int) -> float:
+        """Value at absolute index ``index``; raises outside the window."""
         if not self.covers(index):
             raise CoverageError(
-                f"index {index} outside noise window [{self.first_index}, {self.last_index}]"
+                f"index {index} outside window [{self.first_index}, {self.last_index}]"
             )
-        return self.values[index - self.offset]
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float64)
+        return float(self.values[index - self.offset])
 
 
 @dataclass(frozen=True)
@@ -128,17 +112,16 @@ class TrajMetric(NamedTuple):
     tail_bound: float
 
 
-def shift_path(p: PathWindow, t: int) -> PathWindow:
-    """Translate a path by ``t``: the result at index ``i`` is ``p`` at ``i + t``."""
-    return PathWindow(offset=p.offset - t, values=p.values)
+def shift_path(p: Window, t: int) -> Window:
+    """Translate a window by ``t``: the result at index ``i`` is ``p`` at ``i + t``.
+
+    The values are shared, only the offset moves; paths and noise windows
+    shift by the same convention.
+    """
+    return Window(offset=p.offset - t, values=p.values)
 
 
-def shift_noise(noise: NoiseWindow, t: int) -> NoiseWindow:
-    """Translate a noise window by ``t`` with the same convention as paths."""
-    return NoiseWindow(offset=noise.offset - t, values=noise.values)
-
-
-def truncate_path(p: PathWindow, t: int) -> PathWindow:
+def truncate_path(p: Window, t: int) -> Window:
     """Freeze the path after index ``t``: later coordinates repeat ``p(t)``.
 
     ``t`` must lie inside the window.
@@ -147,12 +130,9 @@ def truncate_path(p: PathWindow, t: int) -> PathWindow:
         raise CoverageError(
             f"truncation index {t} outside window [{p.first_index}, {p.last_index}]"
         )
-    cut = t - p.offset
-    held = p.values[cut]
-    return PathWindow(
-        offset=p.offset,
-        values=p.values[: cut + 1] + (held,) * (len(p.values) - cut - 1),
-    )
+    values = p.values.copy()
+    values[t - p.offset + 1 :] = values[t - p.offset]
+    return Window(offset=p.offset, values=values)
 
 
 def _damp(r: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from scipy import stats as _sps
 
 from ._parallel import map_indexed
 from .errors import CoverageError
-from .path_space import PathWindow, shift_path
+from .path_space import frozen_array
 from .seeds import draw_unit, substream
 
 __all__ = [
@@ -43,24 +43,13 @@ MeasureSampler = Callable[[int], "ParticleMeasure"]
 class ParticleMeasure:
     """A probability measure carried by weighted particles on one window.
 
-    All particles share the same offset and length.  Weights are nonnegative
-    and sum to one (within 1e-12).  Instances are immutable; the backing
-    arrays are marked read-only and may be shared between measures.
+    All particles share the same offset and length.  Values are finite;
+    weights are finite, nonnegative and sum to one (within 1e-12).
+    Instances are immutable; the backing arrays are marked read-only and
+    may be shared between measures.  Build them with :meth:`from_matrix`.
     """
 
     __slots__ = ("offset", "values", "weights")
-
-    def __init__(self, particles: Sequence[PathWindow], weights: Sequence[float]):
-        particles = list(particles)
-        if not particles:
-            raise ValueError("ParticleMeasure requires at least one particle")
-        offset = particles[0].offset
-        length = len(particles[0])
-        for p in particles[1:]:
-            if p.offset != offset or len(p) != length:
-                raise ValueError("all particles must share one offset and length")
-        matrix = np.asarray([p.values for p in particles], dtype=np.float64)
-        self._init_from(offset, matrix, np.asarray(weights, dtype=np.float64))
 
     @classmethod
     def from_matrix(
@@ -70,35 +59,28 @@ class ParticleMeasure:
 
         ``weights=None`` means the uniform ensemble.
         """
-        self = cls.__new__(cls)
-        values = np.asarray(values, dtype=np.float64)
+        values = frozen_array(values)
         if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
             raise ValueError("values must be a nonempty 2-d matrix")
+        if not np.isfinite(values).all():
+            raise ValueError("particle values must be finite")
         if weights is None:
             weights = np.full(values.shape[0], 1.0 / values.shape[0])
-        self._init_from(int(offset), values, np.asarray(weights, dtype=np.float64))
-        return self
-
-    @staticmethod
-    def _freeze(array: np.ndarray) -> np.ndarray:
-        # share arrays that are already immutable; copy writable ones so the
-        # caller's array is never touched
-        if array.flags.writeable:
-            array = array.copy()
-            array.setflags(write=False)
-        return array
-
-    def _init_from(self, offset: int, values: np.ndarray, weights: np.ndarray) -> None:
+        weights = frozen_array(weights)
         if weights.shape != (values.shape[0],):
             raise ValueError("weights must match the particle count")
+        if not np.isfinite(weights).all():
+            raise ValueError("weights must be finite")
         if np.any(weights < 0.0):
             raise ValueError("weights must be nonnegative")
         total = float(np.sum(weights))
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise ValueError(f"weights must sum to 1 within {_WEIGHT_TOL}, got {total!r}")
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "values", self._freeze(values))
-        object.__setattr__(self, "weights", self._freeze(weights))
+        self = cls.__new__(cls)
+        object.__setattr__(self, "offset", int(offset))
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "weights", weights)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("ParticleMeasure is immutable")
@@ -141,13 +123,6 @@ class ParticleMeasure:
             )
         a = first - self.offset
         return self.values[:, a : a + (last - first + 1)]
-
-    @property
-    def particles(self) -> tuple[PathWindow, ...]:
-        """The ensemble as PathWindow objects (materialized on demand)."""
-        return tuple(
-            PathWindow(offset=self.offset, values=tuple(row)) for row in self.values
-        )
 
 
 @dataclass(frozen=True)
@@ -210,15 +185,19 @@ class StatReport:
         return json.dumps(self.as_dict(), sort_keys=True)
 
 
-def integrate(mu: ParticleMeasure, f: Callable[[PathWindow], complex]):
-    """Integral of a bounded function of the trajectory: ``sum_j w_j f(p_j)``.
+def integrate(mu: ParticleMeasure, values: np.ndarray):
+    """Integral of a function of the trajectory: ``sum_j w_j values[j]``.
 
-    Returns whatever scalar type ``f`` produces (float or complex).
+    ``values`` holds the function's value on each particle, one entry per
+    particle (for example a function of :meth:`ParticleMeasure.column`).
+    Returns a numpy scalar of the values' type (float or complex).
     """
-    total = 0.0
-    for weight, particle in zip(mu.weights, mu.particles):
-        total = total + weight * f(particle)
-    return total
+    values = np.asarray(values)
+    if values.shape != mu.weights.shape:
+        raise ValueError(
+            f"expected one value per particle {mu.weights.shape}, got shape {values.shape}"
+        )
+    return np.sum(mu.weights * values)
 
 
 def cylinder_prob(mu: ParticleMeasure, delta: CylinderSet) -> float:
@@ -228,14 +207,15 @@ def cylinder_prob(mu: ParticleMeasure, delta: CylinderSet) -> float:
     for j, (a, b) in enumerate(delta.intervals):
         col = block[:, j]
         inside &= (col >= a) & (col < b)
-    return float(np.sum(mu.weights * inside))
+    return float(integrate(mu, inside))
 
 
 def shift_measure(mu: ParticleMeasure, t: int) -> ParticleMeasure:
     """Pushforward of the measure under the path translation by ``t``.
 
-    Equivalent to shifting every particle with :func:`shift_path`; the value
-    matrix is shared, only the offset moves.
+    Equivalent to shifting every particle path with
+    :func:`~stochrec.path_space.shift_path`; the value matrix is shared, only
+    the offset moves.
     """
     return ParticleMeasure.from_matrix(mu.offset - t, mu.values, mu.weights)
 

@@ -2,6 +2,8 @@
 ``x_next = apply(x, xi)`` stepped forward or backward over indexed windows,
 plus the randomly-initialized sampler used by the measure construction.
 
+Every loop through noise goes through one kernel, :func:`advance`.
+
 Index convention: when the state starts at index ``n0``, the noise window
 starts at ``n0 + 1``, and the step into index ``k + 1`` consumes the noise
 value at index ``k + 1``.
@@ -13,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CoverageError, InverseUnavailableError
-from .path_space import NoiseWindow, PathWindow
+from .path_space import Window
 from .seeds import draw_normal, draw_u64, draw_unit
 
 __all__ = [
@@ -22,6 +24,7 @@ __all__ = [
     "fractional_map",
     "contraction_map",
     "update_map_from_name",
+    "advance",
     "iterate_forward",
     "iterate_backward",
     "stationary_sampler",
@@ -46,9 +49,10 @@ class UpdateMap:
 def _frac(x):
     # fractional part as x - floor(x); maps negatives into [0, 1).  For
     # inputs a hair below an integer the subtraction can round to exactly
-    # 1.0, which is the same point on the circle as 0.0.
+    # 1.0, which is the same point on the circle as 0.0.  Scalar input gives
+    # a scalar, so scalar states do not turn into 0-d arrays.
     out = x - np.floor(x)
-    return np.where(out >= 1.0, 0.0, out)
+    return np.where(out >= 1.0, 0.0, out)[()]
 
 
 def fractional_map() -> UpdateMap:
@@ -106,7 +110,7 @@ class NoiseModel:
         if self.law not in ("uniform", "normal"):
             raise ValueError(f"unknown noise law {self.law!r}")
 
-    def window(self, first_index: int, length: int) -> NoiseWindow:
+    def window(self, first_index: int, length: int) -> Window:
         """Noise values at absolute indices ``first_index .. first_index+length-1``."""
         if length < 1:
             raise ValueError("noise window length must be positive")
@@ -115,29 +119,62 @@ class NoiseModel:
             values = draw_unit(self.seed, counters)
         else:
             values = draw_normal(self.seed, counters)
-        return NoiseWindow(offset=first_index, values=tuple(values))
+        values.setflags(write=False)
+        return Window(offset=first_index, values=values)
 
     def substream(self, index: int) -> "NoiseModel":
         """An independent child model for replica ``index`` (same law)."""
         return replace(self, seed=int(draw_u64(self.seed, index)))
 
 
-def iterate_forward(x0: float, noise: NoiseWindow, update_map: UpdateMap) -> PathWindow:
+def advance(step: Callable, x, noise_values, out: np.ndarray | None = None):
+    """Step the state ``x`` through ``noise_values``; return the last state.
+
+    Step ``k`` computes ``x = step(x, noise_values[k])``, and when ``out`` is
+    given stores that state in ``out[..., k]``.  ``x`` may be a scalar or an
+    array of independent runs; each noise value may be a scalar shared by
+    all runs or an array with one value per run.  ``noise_values`` can be
+    any iterable, so callers that need only the endpoint can pass a
+    generator and keep no trajectory.
+    """
+    for k, xi in enumerate(noise_values):
+        x = step(x, xi)
+        if out is not None:
+            out[..., k] = x
+    return x
+
+
+def _fill_path(update_map: UpdateMap, noise: Window, cut: int, x: float) -> Window:
+    """The path through ``noise`` with the state ``x`` planted at ``path[cut]``.
+
+    ``path[j]`` sits at index ``noise.offset - 1 + j`` and ``noise.values[j]``
+    drives the step from ``path[j]`` to ``path[j + 1]``: ``apply`` fills the
+    path right of the cut, ``inverse_apply`` left of it.
+    """
+    path = np.empty(len(noise) + 1)
+    path[cut] = x
+    if cut > 0:
+        if update_map.inverse_apply is None:
+            raise InverseUnavailableError(
+                f"update map {update_map.name!r} has no inverse; cannot iterate backward"
+            )
+        back = slice(cut - 1, None, -1)
+        advance(update_map.inverse_apply, x, noise.values[back], out=path[back])
+    advance(update_map.apply, x, noise.values[cut:], out=path[cut + 1 :])
+    return Window(offset=noise.offset - 1, values=path)
+
+
+def iterate_forward(x0: float, noise: Window, update_map: UpdateMap) -> Window:
     """Run the recurrence forward through every noise value.
 
     ``x0`` sits at index ``noise.offset - 1``; the result covers
     ``noise.offset - 1 .. noise.last_index`` and its first coordinate is
     exactly ``x0``.
     """
-    x = float(x0)
-    values = [x]
-    for xi in noise.values:
-        x = float(update_map.apply(x, xi))
-        values.append(x)
-    return PathWindow(offset=noise.offset - 1, values=tuple(values))
+    return _fill_path(update_map, noise, 0, float(x0))
 
 
-def iterate_backward(x_end: float, noise: NoiseWindow, update_map: UpdateMap) -> PathWindow:
+def iterate_backward(x_end: float, noise: Window, update_map: UpdateMap) -> Window:
     """Run the recurrence backward through every noise value.
 
     ``x_end`` sits at index ``noise.last_index``; earlier coordinates are
@@ -145,27 +182,17 @@ def iterate_backward(x_end: float, noise: NoiseWindow, update_map: UpdateMap) ->
     The result covers the same window as :func:`iterate_forward` and ends at
     ``x_end``.
     """
-    if update_map.inverse_apply is None:
-        raise InverseUnavailableError(
-            f"update map {update_map.name!r} has no inverse; cannot iterate backward"
-        )
-    x = float(x_end)
-    values = [x]
-    for xi in reversed(noise.values):
-        x = float(update_map.inverse_apply(x, xi))
-        values.append(x)
-    values.reverse()
-    return PathWindow(offset=noise.offset - 1, values=tuple(values))
+    return _fill_path(update_map, noise, len(noise), float(x_end))
 
 
 def stationary_sampler(
     update_map: UpdateMap,
-    noise: NoiseWindow,
+    noise: Window,
     init_seed: int,
     *,
     init_index: int | None = None,
     init_bounds: tuple[float, float] = (0.0, 1.0),
-) -> PathWindow:
+) -> Window:
     """One trajectory of the randomly-initialized construction.
 
     Draws the initializer ``eta`` uniformly on ``init_bounds`` from
@@ -188,18 +215,4 @@ def stationary_sampler(
         raise CoverageError(f"initializer index {anchor} outside window [{first}, {last}]")
 
     eta = lo + (hi - lo) * float(draw_unit(init_seed, 0))
-
-    if anchor == first:
-        return iterate_forward(eta, noise, update_map)
-
-    back_part = NoiseWindow(
-        offset=noise.offset, values=noise.values[: anchor - noise.offset + 1]
-    )
-    head = iterate_backward(eta, back_part, update_map)
-    if anchor == last:
-        return head
-    fwd_part = NoiseWindow(
-        offset=anchor + 1, values=noise.values[anchor - noise.offset + 1 :]
-    )
-    tail = iterate_forward(eta, fwd_part, update_map)
-    return PathWindow(offset=first, values=head.values + tail.values[1:])
+    return _fill_path(update_map, noise, anchor - first, eta)

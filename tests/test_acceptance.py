@@ -35,7 +35,7 @@ from stochrec.measure_solution import (
     random_char_specs,
     shift_equivariance_check,
 )
-from stochrec.path_space import NoiseWindow, SampledFunction, traj_metric
+from stochrec.path_space import Window, SampledFunction, traj_metric
 from stochrec.random_measure import ks_one_sample_threshold
 from stochrec.recurrence import NoiseModel, contraction_map, fractional_map
 from stochrec.seeds import draw_u64, draw_unit, substream
@@ -104,8 +104,8 @@ def test_criterion_02_consistency():
         fut_b = NoiseModel(seed=int(draw_u64(future_root, 2 * pair + 1))).window(
             split + 1, window[1] - split
         )
-        noise_a = NoiseWindow(offset=1, values=past.values + fut_a.values)
-        noise_b = NoiseWindow(offset=1, values=past.values + fut_b.values)
+        noise_a = Window(offset=1, values=np.concatenate([past.values, fut_a.values]))
+        noise_b = Window(offset=1, values=np.concatenate([past.values, fut_b.values]))
         all_ok = all_ok and consistency_check(builder, noise_a, noise_b, split)
     elapsed = time.perf_counter() - start
     ok = all_ok and elapsed < 1.0

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from stochrec.cli import main
+from stochrec.cli import _write_json, main
 
 
 def read_json(path):
@@ -219,3 +219,48 @@ class TestDeterminism:
         assert main(base + ["--threads", "1", "--out", str(a)]) == 0
         assert main(base + ["--threads", threads, "--out", str(b)]) == 0
         assert scrub_manifest(read_json(a)) == scrub_manifest(read_json(b))
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_2(self, tmp_path, threads):
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "fractional", "3", "--threads", threads, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+    def test_non_finite_angle_exit_2(self, tmp_path, capsys, angle):
+        out = tmp_path / "rot.json"
+        code = main(["diagnose", "rotation", f"--t={angle}", "--n", "200", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_report_writer_is_strict_json(self, tmp_path, value):
+        # NaN and Infinity are not JSON: refuse them and leave no file
+        out = tmp_path / "r.json"
+        with pytest.raises(ValueError, match="non-finite"):
+            _write_json(str(out), {"reports": [{"statistic": value}]})
+        assert not out.exists()
+
+    def test_negative_shift_runs(self, tmp_path):
+        out = tmp_path / "st.json"
+        code = main(
+            ["diagnose", "stationarity", "--n", "150", "--particles", "80",
+             "--shifts=-2", "--seed", "5", "--out", str(out)]
+        )
+        assert code in (0, 1)
+        names = [r["test_name"] for r in read_json(out)["reports"]]
+        assert names == ["stationarity:shift=-2"]
+
+    def test_out_of_memory_exit_2(self, tmp_path, capsys):
+        # the particle array alone would take petabytes; numpy refuses the
+        # allocation outright, before anything is written
+        out = tmp_path / "hopf.json"
+        code = main(
+            ["hopf-check", "fractional", "--particles", "1000000000000000", "--out", str(out)]
+        )
+        assert code == 2
+        assert not out.exists()
+        assert "out of memory" in capsys.readouterr().err

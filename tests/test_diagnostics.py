@@ -151,7 +151,7 @@ class TestConditionalCharStatistic:
             )
             noise = NoiseModel(seed=int(draw_u64(noise_root, p))).window(lo + 1, hi - lo)
             mu = conditional_measure(builder, noise)
-            value = integrate(mu, lambda pw: np.exp(2j * np.pi * pw.coordinate(5)))
+            value = integrate(mu, np.exp(2j * np.pi * mu.column(5)))
             moduli.append(abs(value))
         report = conditional_char_statistic(cfg, 5)
         assert report.statistic == pytest.approx(max(moduli), abs=1e-12)
@@ -213,6 +213,34 @@ class TestDefaultCylinderFamily:
     def test_too_small_window(self):
         with pytest.raises(CoverageError):
             default_cylinder_family((0, 2), max_shift=5)
+        with pytest.raises(CoverageError):
+            default_cylinder_family((0, 3), max_shift=0, min_shift=-3)
+
+    def test_negative_shift_left_margin(self):
+        # a shift by -2 moves the family right by 2, past the pinned
+        # initializer coordinate of the shifted measure
+        moved = default_cylinder_family((0, 12), max_shift=0, min_shift=-2)
+        base = default_cylinder_family((0, 12), max_shift=2)
+        assert [(d.start - 2, d.intervals) for d in moved] == [
+            (d.start, d.intervals) for d in base
+        ]
+        with pytest.raises(ValueError):
+            default_cylinder_family((0, 12), max_shift=0, min_shift=1)
+
+    def test_negative_shift_suite_runs(self):
+        builder = MeasureBuilder(
+            update_map=fractional_map(),
+            particle_count=100,
+            window=(0, 10),
+            init_seed_stream=substream(3, "stat-init"),
+        )
+        deltas = default_cylinder_family((0, 10), max_shift=1, min_shift=-2)
+        reports = stationarity_suite(builder, [-2, 1], deltas, config(sample_size=300))
+        assert [r.test_name for r in reports] == [
+            "stationarity:shift=-2",
+            "stationarity:shift=1",
+        ]
+        assert all(r.passed for r in reports)
 
 
 class TestConditionalLawDemo:

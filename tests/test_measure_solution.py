@@ -18,7 +18,7 @@ from stochrec.measure_solution import (
     random_char_specs,
     shift_equivariance_check,
 )
-from stochrec.path_space import NoiseWindow, shift_noise
+from stochrec.path_space import Window, shift_path
 from stochrec.random_measure import ParticleMeasure, integrate, measures_allclose, shift_measure
 from stochrec.recurrence import (
     NoiseModel,
@@ -86,7 +86,7 @@ class TestConditionalMeasure:
         for j in range(16):
             seed_j = int(draw_u64(builder.init_seed_stream, j))
             path = stationary_sampler(builder.update_map, noise, seed_j)
-            assert path.values == tuple(mu.values[j])
+            assert np.array_equal(path.values, mu.values[j])
 
     def test_contraction_collapse(self):
         builder = make_builder(
@@ -96,6 +96,13 @@ class TestConditionalMeasure:
         mu = conditional_measure(builder, noise)
         initial_spread = np.std(mu.column(0))
         assert np.std(mu.column(40)) <= 0.5**40 * initial_spread + 1e-9
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_noise_refused(self, bad):
+        values = make_noise().values.copy()
+        values[4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            conditional_measure(make_builder(), Window(offset=1, values=values))
 
     def test_insufficient_noise(self):
         with pytest.raises(CoverageError):
@@ -145,7 +152,7 @@ class TestHopfFunctionals:
     def test_rhs_point_mass(self):
         values = np.asarray([[0.1, 0.4, 0.7]])
         mu = ParticleMeasure.from_matrix(0, values, None)
-        noise = NoiseWindow(offset=1, values=(0.25, 0.5))
+        noise = Window(offset=1, values=(0.25, 0.5))
         fm = fractional_map()
         spec = CharSpec(n=0, m=1, lambdas=(1.0,), rho=3.0)
         expected = cmath.exp(1j * (0.4 + 3.0 * float(fm.apply(0.4, 0.5))))
@@ -221,8 +228,8 @@ class TestConsistency:
         fut_a = NoiseModel(seed=future_seed_a).window(split + 1, hi - split)
         fut_b = NoiseModel(seed=future_seed_b).window(split + 1, hi - split)
         return (
-            NoiseWindow(offset=lo + 1, values=past.values + fut_a.values),
-            NoiseWindow(offset=lo + 1, values=past.values + fut_b.values),
+            Window(offset=lo + 1, values=np.concatenate([past.values, fut_a.values])),
+            Window(offset=lo + 1, values=np.concatenate([past.values, fut_b.values])),
         )
 
     def test_equal_noise_paths(self):
@@ -236,14 +243,14 @@ class TestConsistency:
     def test_differing_pasts_detected(self):
         window = (0, 10)
         noise_a = NoiseModel(seed=substream(7, "a")).window(1, 10)
-        values = list(noise_a.values)
+        values = noise_a.values.copy()
         values[3] = (values[3] + 0.37) % 1.0  # index 4 <= n: history differs
-        noise_b = NoiseWindow(offset=1, values=tuple(values))
+        noise_b = Window(offset=1, values=values)
         assert not consistency_check(make_builder(window=window), noise_a, noise_b, n=5)
 
     def test_structural_mismatch_rejected(self):
         noise = make_noise()
-        shorter = NoiseWindow(offset=1, values=noise.values[:-1])
+        shorter = Window(offset=1, values=noise.values[:-1])
         with pytest.raises(CoverageError):
             consistency_check(make_builder(), noise, shorter, n=5)
 
@@ -270,7 +277,7 @@ class TestShiftEquivariance:
             window=builder.translated(3).window,
             init_seed_stream=substream(1, "different-stream"),
         )
-        rhs = conditional_measure(other, shift_noise(noise, -3))
+        rhs = conditional_measure(other, shift_path(noise, -3))
         assert not measures_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -283,4 +290,5 @@ class TestMeasureSampler:
     def test_integrate_normalization_over_replicas(self):
         sampler = conditional_measure_sampler(make_builder(), noise_seed=substream(2, "s"))
         for r in range(3):
-            assert integrate(sampler(r), lambda p: 1.0) == pytest.approx(1.0, abs=1e-12)
+            mu = sampler(r)
+            assert integrate(mu, np.ones(mu.particle_count)) == pytest.approx(1.0, abs=1e-12)

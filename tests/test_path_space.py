@@ -6,10 +6,8 @@ from hypothesis import given, strategies as st
 
 from stochrec.errors import CoverageError
 from stochrec.path_space import (
-    NoiseWindow,
-    PathWindow,
     SampledFunction,
-    shift_noise,
+    Window,
     shift_path,
     traj_metric,
     truncate_path,
@@ -24,12 +22,12 @@ def grid_function(values_fn, lo=-25, hi=25):
 class TestWindows:
     def test_empty_values_rejected(self):
         with pytest.raises(ValueError):
-            PathWindow(offset=0, values=())
+            Window(offset=0, values=())
         with pytest.raises(ValueError):
-            NoiseWindow(offset=0, values=())
+            Window(offset=0, values=np.empty(0))
 
     def test_absolute_indexing(self):
-        p = PathWindow(offset=-2, values=(10.0, 11.0, 12.0))
+        p = Window(offset=-2, values=(10.0, 11.0, 12.0))
         assert p.coordinate(-2) == 10.0
         assert p.coordinate(0) == 12.0
         assert p.first_index == -2 and p.last_index == 0
@@ -43,16 +41,62 @@ class TestWindows:
             SampledFunction(times=(0.0, 1.0), values=(1.0,))
 
 
+class TestWindowArray:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Window(offset=0, values=(0.5, bad))
+
+    def test_read_only_and_caller_array_not_captured(self):
+        raw = np.array([0.1, 0.2, 0.3])
+        w = Window(offset=4, values=raw)
+        raw[0] = 9.0
+        assert w.values.tolist() == [0.1, 0.2, 0.3]
+        with pytest.raises(ValueError):
+            w.values[0] = 5.0
+        with pytest.raises(AttributeError):
+            w.offset = 1
+
+    def test_read_only_array_shared(self):
+        raw = np.array([0.1, 0.2])
+        raw.setflags(write=False)
+        assert Window(offset=0, values=raw).values is raw
+
+    def test_equality_is_offset_and_exact_values(self):
+        w = Window(offset=1, values=(0.25, 0.5))
+        assert w == Window(offset=1, values=np.array([0.25, 0.5]))
+        assert w != Window(offset=0, values=(0.25, 0.5))
+        assert w != Window(offset=1, values=(0.25, np.nextafter(0.5, 1.0)))
+        assert w != Window(offset=1, values=(0.25, 0.5, 0.75))
+        assert w != (0.25, 0.5)
+
+    @given(
+        st.integers(-50, 50),
+        st.integers(-10, 10),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8),
+    )
+    def test_round_trips(self, t, offset, values):
+        p = Window(offset=offset, values=values)
+        # shifting there and back is the identity, and never copies values
+        back = shift_path(shift_path(p, t), -t)
+        assert back == p and back.values is p.values
+        assert shift_path(p, t).coordinate(offset - t) == p.coordinate(offset)
+        # values survive a trip through Python floats bit for bit
+        again = Window(offset=p.offset, values=p.values.tolist())
+        assert again == p
+        assert again.values.tobytes() == np.asarray(values, dtype=np.float64).tobytes()
+
+
 class TestShift:
     def test_identity(self):
-        p = PathWindow(offset=3, values=(1.0, 2.0))
+        p = Window(offset=3, values=(1.0, 2.0))
         assert shift_path(p, 0) == p
 
     def test_index_arithmetic(self):
-        p = PathWindow(offset=0, values=(1.0, 2.0, 3.0))
+        p = Window(offset=0, values=(1.0, 2.0, 3.0))
         q = shift_path(p, 1)
         assert q.offset == -1
-        assert q.values == (1.0, 2.0, 3.0)
+        assert q.values.tolist() == [1.0, 2.0, 3.0]
         assert q.coordinate(0) == 2.0
 
     @given(
@@ -62,37 +106,37 @@ class TestShift:
         st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8),
     )
     def test_composition(self, a, b, offset, values):
-        p = PathWindow(offset=offset, values=tuple(values))
+        p = Window(offset=offset, values=tuple(values))
         assert shift_path(shift_path(p, a), b) == shift_path(p, a + b)
 
     def test_noise_shift_same_convention(self):
-        n = NoiseWindow(offset=1, values=(0.5, 0.25))
-        m = shift_noise(n, 2)
-        assert m.offset == -1 and m.values == n.values
+        n = Window(offset=1, values=(0.5, 0.25))
+        m = shift_path(n, 2)
+        assert m.offset == -1 and np.array_equal(m.values, n.values)
 
 
 class TestTruncate:
     def test_last_index_noop(self):
-        p = PathWindow(offset=0, values=(1.0, 2.0, 3.0))
+        p = Window(offset=0, values=(1.0, 2.0, 3.0))
         assert truncate_path(p, 2) == p
 
     def test_mid_window(self):
-        p = PathWindow(offset=0, values=(1.0, 2.0, 3.0, 4.0))
-        assert truncate_path(p, 1).values == (1.0, 2.0, 2.0, 2.0)
+        p = Window(offset=0, values=(1.0, 2.0, 3.0, 4.0))
+        assert truncate_path(p, 1).values.tolist() == [1.0, 2.0, 2.0, 2.0]
 
     def test_first_index_constant(self):
-        p = PathWindow(offset=5, values=(7.0, 8.0, 9.0))
-        assert truncate_path(p, 5).values == (7.0, 7.0, 7.0)
+        p = Window(offset=5, values=(7.0, 8.0, 9.0))
+        assert truncate_path(p, 5).values.tolist() == [7.0, 7.0, 7.0]
 
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=10), st.data())
     def test_idempotent(self, values, data):
-        p = PathWindow(offset=0, values=tuple(values))
+        p = Window(offset=0, values=tuple(values))
         t = data.draw(st.integers(0, len(values) - 1))
         once = truncate_path(p, t)
         assert truncate_path(once, t) == once
 
     def test_out_of_window(self):
-        p = PathWindow(offset=0, values=(1.0, 2.0))
+        p = Window(offset=0, values=(1.0, 2.0))
         with pytest.raises(CoverageError):
             truncate_path(p, 2)
         with pytest.raises(CoverageError):

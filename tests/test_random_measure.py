@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from stochrec.errors import CoverageError
-from stochrec.path_space import PathWindow
 from stochrec.random_measure import (
     CylinderSet,
     ParticleMeasure,
@@ -25,34 +24,46 @@ def two_particle_measure(u0_values=(0.2, 0.8), offset=0, length=1):
     return ParticleMeasure.from_matrix(offset, np.asarray(rows), None)
 
 
-def point_mass(path: PathWindow) -> ParticleMeasure:
-    return ParticleMeasure([path], [1.0])
-
-
 class TestParticleMeasure:
     def test_requires_particles(self):
         with pytest.raises(ValueError):
-            ParticleMeasure([], [])
+            ParticleMeasure.from_matrix(0, np.empty((0, 1)), np.empty(0))
 
     def test_weight_normalization_enforced(self):
-        p = PathWindow(offset=0, values=(1.0,))
+        rows = np.ones((2, 1))
         with pytest.raises(ValueError):
-            ParticleMeasure([p, p], [0.5, 0.6])
+            ParticleMeasure.from_matrix(0, rows, [0.5, 0.6])
         with pytest.raises(ValueError):
-            ParticleMeasure([p, p], [1.5, -0.5])
+            ParticleMeasure.from_matrix(0, rows, [1.5, -0.5])
 
     def test_mismatched_windows_rejected(self):
-        a = PathWindow(offset=0, values=(1.0, 2.0))
-        b = PathWindow(offset=1, values=(1.0, 2.0))
+        # rows of different lengths cannot share one window
         with pytest.raises(ValueError):
-            ParticleMeasure([a, b], [0.5, 0.5])
+            ParticleMeasure.from_matrix(0, [[1.0, 2.0], [1.0]], [0.5, 0.5])
+        with pytest.raises(ValueError):
+            ParticleMeasure.from_matrix(0, np.array([1.0, 2.0]), [0.5, 0.5])
+        with pytest.raises(ValueError):
+            ParticleMeasure.from_matrix(0, np.ones((2, 2)), [1.0])
 
     def test_particles_round_trip(self):
-        a = PathWindow(offset=2, values=(1.0, 2.0))
-        b = PathWindow(offset=2, values=(3.0, 4.0))
-        mu = ParticleMeasure([a, b], [0.25, 0.75])
-        assert mu.particles == (a, b)
+        rows = np.array([[1.0, 2.0], [3.0, 4.0]])
+        mu = ParticleMeasure.from_matrix(2, rows, [0.25, 0.75])
+        assert np.array_equal(mu.values, rows)
+        assert mu.weights.tolist() == [0.25, 0.75]
         assert mu.offset == 2 and mu.window_length == 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        rows = np.array([[0.1, 0.2], [0.3, bad]])
+        with pytest.raises(ValueError, match="finite"):
+            ParticleMeasure.from_matrix(0, rows, None)
+
+    def test_nan_weights_rejected(self):
+        # abs(nan - 1) > tol is False, so a sum check alone lets NaN through
+        with pytest.raises(ValueError, match="finite"):
+            ParticleMeasure.from_matrix(0, np.ones((2, 1)), [np.nan, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            ParticleMeasure.from_matrix(0, np.ones((2, 1)), [np.nan, np.nan])
 
     def test_immutable(self):
         mu = two_particle_measure()
@@ -73,17 +84,21 @@ class TestParticleMeasure:
 class TestIntegrate:
     def test_normalization(self):
         mu = two_particle_measure((0.1, 0.4, 0.9))
-        assert integrate(mu, lambda p: 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert integrate(mu, np.ones(mu.particle_count)) == pytest.approx(1.0, abs=1e-12)
 
     def test_point_mass(self):
-        path = PathWindow(offset=0, values=(0.3, 0.6))
-        mu = point_mass(path)
-        assert integrate(mu, lambda p: p.coordinate(1) ** 2) == pytest.approx(0.36)
+        mu = ParticleMeasure.from_matrix(0, [[0.3, 0.6]], [1.0])
+        assert integrate(mu, mu.column(1) ** 2) == pytest.approx(0.36)
 
     def test_indicator_average(self):
         mu = two_particle_measure((0.2, 0.8))
-        value = integrate(mu, lambda p: 1.0 if p.coordinate(0) < 0.5 else 0.0)
+        value = integrate(mu, np.where(mu.column(0) < 0.5, 1.0, 0.0))
         assert value == pytest.approx(0.5)
+
+    def test_one_value_per_particle(self):
+        mu = two_particle_measure((0.2, 0.8), length=3)
+        with pytest.raises(ValueError):
+            integrate(mu, mu.values)
 
     def test_bounded_by_sup(self):
         rng = np.random.default_rng(7)
@@ -94,7 +109,7 @@ class TestIntegrate:
             vals = rng.normal(size=(n, 3))
             mu = ParticleMeasure.from_matrix(0, vals, w)
             phase = rng.normal(size=3)
-            f = lambda p: cmath.exp(1j * sum(c * v for c, v in zip(phase, p.values)))
+            f = [cmath.exp(1j * sum(c * v for c, v in zip(phase, row))) for row in mu.values]
             assert abs(integrate(mu, f)) <= 1.0 + 1e-12
 
 
@@ -178,10 +193,10 @@ class TestShiftMeasure:
         mu = ParticleMeasure.from_matrix(0, rng.random((10, 4)), w)
         shifted = shift_measure(mu, 2)
         assert np.array_equal(shifted.weights, mu.weights)
-        f = lambda p: p.coordinate(-2) * 2.0 + 1.0
-        from stochrec.path_space import shift_path
-
-        assert integrate(shifted, f) == integrate(mu, lambda p: f(shift_path(p, 2)))
+        # f(u) = 2 u_{-2} + 1 on the shifted measure reads u_0 of the original
+        assert integrate(shifted, shifted.column(-2) * 2.0 + 1.0) == integrate(
+            mu, mu.column(0) * 2.0 + 1.0
+        )
 
 
 class TestStatReport:

@@ -4,10 +4,11 @@ from hypothesis import given, strategies as st
 from scipy import stats as sps
 
 from stochrec.errors import CoverageError, InverseUnavailableError
-from stochrec.path_space import NoiseWindow
+from stochrec.path_space import Window
 from stochrec.random_measure import ks_one_sample_threshold
 from stochrec.recurrence import (
     NoiseModel,
+    advance,
     contraction_map,
     fractional_map,
     iterate_backward,
@@ -15,7 +16,7 @@ from stochrec.recurrence import (
     stationary_sampler,
     update_map_from_name,
 )
-from stochrec.seeds import draw_unit
+from stochrec.seeds import draw_unit, substream
 
 unit = st.floats(0.0, 1.0, exclude_max=True, allow_nan=False)
 
@@ -82,13 +83,13 @@ class TestMapParsing:
 
 class TestIteration:
     def test_forward_fractional(self):
-        noise = NoiseWindow(offset=1, values=(0.5, 0.9))
+        noise = Window(offset=1, values=(0.5, 0.9))
         path = iterate_forward(0.25, noise, fractional_map())
         assert path.offset == 0
         assert path.values == pytest.approx((0.25, 0.75, 0.65), abs=1e-12)
 
     def test_forward_contraction(self):
-        noise = NoiseWindow(offset=1, values=(1.0, 1.0))
+        noise = Window(offset=1, values=(1.0, 1.0))
         path = iterate_forward(1.0, noise, contraction_map(0.5))
         assert path.values == pytest.approx((1.0, 1.5, 1.75))
 
@@ -100,18 +101,18 @@ class TestIteration:
 
     def test_single_step_is_apply(self):
         fm = fractional_map()
-        noise = NoiseWindow(offset=4, values=(0.3,))
+        noise = Window(offset=4, values=(0.3,))
         path = iterate_forward(0.9, noise, fm)
-        assert path.values == (0.9, float(fm.apply(0.9, 0.3)))
+        assert path.values.tolist() == [0.9, float(fm.apply(0.9, 0.3))]
 
     def test_backward_example(self):
-        noise = NoiseWindow(offset=1, values=(0.5,))
+        noise = Window(offset=1, values=(0.5,))
         path = iterate_backward(0.75, noise, fractional_map())
         assert path.offset == 0
         assert path.values == pytest.approx((0.25, 0.75), abs=1e-12)
 
     def test_backward_requires_inverse(self):
-        noise = NoiseWindow(offset=1, values=(0.5,))
+        noise = Window(offset=1, values=(0.5,))
         with pytest.raises(InverseUnavailableError):
             iterate_backward(0.75, noise, contraction_map(0.0))
 
@@ -126,6 +127,64 @@ class TestIteration:
         assert max(abs(a - b) for a, b in zip(forward.values, back.values)) <= 50 * 1e-12
 
 
+MAPS = {
+    "fractional": fractional_map(),
+    "contraction": contraction_map(0.5),
+    "contraction-negative": contraction_map(-0.7),
+}
+
+
+def per_step_reference(update_map, x0, noise):
+    """Plain per-run loop on Python floats, one run and one step at a time."""
+    starts = np.atleast_1d(x0)
+    trajectory = np.empty((starts.size, len(noise)))
+    for j, x in enumerate(starts.tolist()):
+        for k, row in enumerate(noise):
+            xi = float(row if np.ndim(row) == 0 else row[j])
+            x = float(update_map.apply(x, xi))
+            trajectory[j, k] = x
+    return trajectory
+
+
+class TestAdvance:
+    @given(
+        particles=st.integers(1, 12),
+        length=st.integers(0, 12),
+        seed=st.integers(0, 2**64 - 1),
+        map_name=st.sampled_from(sorted(MAPS)),
+        scalar_state=st.booleans(),
+        shared_noise=st.booleans(),
+    )
+    def test_matches_per_step_loop_bit_for_bit(
+        self, particles, length, seed, map_name, scalar_state, shared_noise
+    ):
+        update_map = MAPS[map_name]
+        runs = 1 if scalar_state else particles
+        x0 = draw_unit(substream(seed, "init"), np.arange(runs))
+        if scalar_state:
+            x0 = float(x0[0])
+        shape = (length,) if shared_noise else (length, runs)
+        noise = draw_unit(substream(seed, "noise"), np.arange(np.prod(shape))).reshape(shape)
+        expected = per_step_reference(update_map, x0, noise)
+        expected_last = expected[:, -1] if length else np.atleast_1d(x0)
+
+        out = np.empty(np.shape(x0) + (length,))
+        last = advance(update_map.apply, x0, noise, out=out)
+        endpoint = advance(update_map.apply, x0, (row for row in noise))
+
+        assert out.tobytes() == expected.reshape(out.shape).tobytes()
+        for got in (last, endpoint):
+            assert np.atleast_1d(got).tobytes() == expected_last.tobytes()
+        if scalar_state and shared_noise:
+            # a scalar state stays a scalar, never a 0-d array
+            assert np.ndim(last) == 0 and not isinstance(last, np.ndarray)
+
+    def test_empty_noise_returns_start(self):
+        x0 = np.array([0.25, 0.5])
+        out = np.empty((2, 0))
+        assert advance(fractional_map().apply, x0, np.empty(0), out=out) is x0
+
+
 class TestNoiseModel:
     def test_uniform_range(self):
         values = NoiseModel(seed=3).window(-10, 1000).values
@@ -135,13 +194,13 @@ class TestNoiseModel:
         model = NoiseModel(seed=3)
         wide = model.window(-5, 20)
         narrow = model.window(0, 5)
-        assert wide.values[5:10] == narrow.values
+        assert np.array_equal(wide.values[5:10], narrow.values)
 
     def test_substreams_differ(self):
         model = NoiseModel(seed=3)
         a = model.substream(0).window(1, 8).values
         b = model.substream(1).window(1, 8).values
-        assert a != b
+        assert not np.array_equal(a, b)
 
     def test_normal_law(self):
         values = np.asarray(NoiseModel(law="normal", seed=3).window(0, 4000).values)
