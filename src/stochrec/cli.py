@@ -326,6 +326,8 @@ def _diagnose_consistency(args) -> list[StatReport]:
 def _diagnose_equivariance(args) -> list[StatReport]:
     if not args.shifts:
         raise ValueError("shifts must be nonempty")
+    if 0 in args.shifts:
+        raise ValueError("shift 0 is vacuous; use nonzero shifts")
     update_map = update_map_from_name(args.map)
     window = (args.window_lo, args.window_hi)
     builder = MeasureBuilder(

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as _sps
 
+from . import _ks as _sps  # perfbench/spans.py traces KS calls through this name
 from ._parallel import map_indexed
 from .errors import CoverageError
 from .measure_solution import MeasureBuilder, conditional_measure_sampler
@@ -408,8 +408,7 @@ def conditional_law_demo(
     samples = gaussian_pair_conditional_samples(rho, a, config, indices)
     statistic = 0.0
     for y_n, draws in samples.values():
-        d = _sps.kstest(draws, "norm", args=(rho * y_n, sigma)).statistic
-        statistic = max(statistic, float(d))
+        statistic = max(statistic, _sps.kstest(draws, rho * y_n, sigma))
     return StatReport.from_statistic(
         test_name="conditional_law",
         statistic=statistic,

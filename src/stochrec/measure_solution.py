@@ -247,6 +247,8 @@ def random_char_specs(window: tuple[int, int], count: int, seed: int) -> list[Ch
     Orders and base indices are drawn uniformly over the admissible range
     for the window; everything is a pure function of ``seed``.
     """
+    if count < 0:
+        raise ValueError(f"probe count must be nonnegative, got {count}")
     lo, hi = window
     max_m = min(4, hi - lo - 1)
     if max_m < 1:

@@ -254,6 +254,25 @@ class TestBadInput:
         names = [r["test_name"] for r in read_json(out)["reports"]]
         assert names == ["stationarity:shift=-2"]
 
+    def test_negative_spec_count_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "hopf.json"
+        code = main(
+            ["hopf-check", "fractional", "--particles", "50", "--specs", "-5", "--out", str(out)]
+        )
+        assert code == 2
+        assert not out.exists()
+        assert "nonnegative" in capsys.readouterr().err
+
+    def test_zero_shift_equivariance_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "eq.json"
+        code = main(
+            ["diagnose", "equivariance", "--shifts", "1,0", "--particles", "50",
+             "--out", str(out)]
+        )
+        assert code == 2
+        assert not out.exists()
+        assert "vacuous" in capsys.readouterr().err
+
     def test_out_of_memory_exit_2(self, tmp_path, capsys):
         # the particle array alone would take petabytes; numpy refuses the
         # allocation outright, before anything is written

@@ -220,6 +220,11 @@ class TestSpecFamilies:
             assert 0 <= spec.n and spec.n + spec.m + 1 <= 10
             assert all(-3.0 <= v <= 3.0 for v in spec.lambdas + (spec.rho,))
 
+    def test_random_specs_count(self):
+        assert random_char_specs((0, 10), 0, seed=4) == []
+        with pytest.raises(ValueError, match="nonnegative"):
+            random_char_specs((0, 10), -5, seed=4)
+
 
 class TestConsistency:
     def split_noise_pair(self, window, split, future_seed_a, future_seed_b):
