@@ -3,14 +3,16 @@ write JSON/CSV reports that embed their run manifest.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage error, 3 I/O
 failure.  Repeated runs with the same arguments produce byte-identical
-payloads (timestamps aside) at any ``--threads`` value.
+payloads (timestamps aside).  Every computation runs in one thread;
+``--threads`` is accepted for compatibility and changes neither results
+nor speed.
 """
 
 import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -76,8 +78,6 @@ def _shift_list(text: str) -> list[int]:
 
 
 def _finish_manifest(command: str, args, params: dict, started: str) -> RunManifest:
-    # worker count is an execution detail, not an experiment parameter:
-    # results are identical at any --threads, so it is not recorded
     params = {key: str(value) for key, value in params.items()}
     params["prng"] = PRNG_NAME
     return RunManifest(
@@ -101,6 +101,14 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write(text + "\n")
 
 
+def _write_csv(path: str, manifest: RunManifest, header: str, rows) -> None:
+    """A CSV report: the manifest as a comment line, the header, then ``rows``."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("# manifest: " + json.dumps(manifest.as_dict(), sort_keys=True) + "\n")
+        fh.write(header + "\n")
+        fh.writelines(rows)
+
+
 def cmd_simulate(args) -> int:
     update_map = update_map_from_name(args.map_name)
     if args.steps < 1:
@@ -113,17 +121,14 @@ def cmd_simulate(args) -> int:
     path = np.empty(args.steps + 1)
     path[0] = x0
     advance(update_map.apply, x0, noise.values, out=path[1:])
-    # Python floats: their repr is the shortest round-trip decimal
-    path, noise_values = path.tolist(), noise.values.tolist()
+    # Python floats: their repr is the shortest round-trip decimal; the
+    # initial state has no driving noise value
+    xis = ["", *map(repr, noise.values.tolist())]
     manifest = _finish_manifest(
         "simulate", args, {"map": args.map_name, "steps": args.steps}, started
     )
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# manifest: " + json.dumps(manifest.as_dict(), sort_keys=True) + "\n")
-        fh.write("index,x,xi\n")
-        fh.write(f"0,{path[0]!r},\n")
-        for i, xi in enumerate(noise_values, start=1):
-            fh.write(f"{i},{path[i]!r},{xi!r}\n")
+    rows = (f"{i},{x!r},{xi}\n" for i, (x, xi) in enumerate(zip(path.tolist(), xis)))
+    _write_csv(args.out, manifest, "index,x,xi", rows)
     return 0
 
 
@@ -178,86 +183,62 @@ def cmd_hopf_check(args) -> int:
     return 0 if passed else 1
 
 
-def _diagnose_tsirelson(args) -> list[StatReport]:
-    config = DiagnosticsConfig(
+def _config(args) -> DiagnosticsConfig:
+    return DiagnosticsConfig(
         sample_size=args.n,
         particle_count=args.particles,
         alpha=args.alpha,
         seed=args.seed,
         window=(args.window_lo, args.window_hi),
     )
+
+
+def _builder(args) -> MeasureBuilder:
+    """The suite's conditional-measure construction, seeded per suite."""
+    return MeasureBuilder(
+        update_map=update_map_from_name(args.map),
+        particle_count=args.particles,
+        window=(args.window_lo, args.window_hi),
+        init_seed_stream=substream(args.seed, f"{args.suite}-init"),
+    )
+
+
+def _diagnose_tsirelson(args) -> list[StatReport]:
+    config = _config(args)
     update_map = update_map_from_name(args.map)
     if args.raw_out:
         started = _utc_now()
-        samples = tsirelson_samples(
-            config, args.index, update_map=update_map, threads=args.threads
-        )
+        samples = tsirelson_samples(config, args.index, update_map=update_map)
         manifest = _finish_manifest(
             "diagnose-raw", args, {"suite": "tsirelson", "index": args.index}, started
         )
-        with open(args.raw_out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("# manifest: " + json.dumps(manifest.as_dict(), sort_keys=True) + "\n")
-            fh.write("replica,x\n")
-            for r, value in enumerate(samples):
-                fh.write(f"{r},{float(value)!r}\n")
+        rows = (f"{r},{float(value)!r}\n" for r, value in enumerate(samples))
+        _write_csv(args.raw_out, manifest, "replica,x", rows)
     return [
-        tsirelson_statistic(config, args.index, update_map=update_map, threads=args.threads),
-        conditional_char_statistic(
-            config, args.index, update_map=update_map, threads=args.threads
-        ),
+        tsirelson_statistic(config, args.index, update_map=update_map),
+        conditional_char_statistic(config, args.index, update_map=update_map),
     ]
 
 
 def _diagnose_stationarity(args) -> list[StatReport]:
     if not args.shifts:
         raise ValueError("shifts must be nonempty")
-    config = DiagnosticsConfig(
-        sample_size=args.n,
-        particle_count=args.particles,
-        alpha=args.alpha,
-        seed=args.seed,
-        window=(args.window_lo, args.window_hi),
-    )
-    builder = MeasureBuilder(
-        update_map=update_map_from_name(args.map),
-        particle_count=args.particles,
-        window=config.window,
-        init_seed_stream=substream(args.seed, "stationarity-init"),
-    )
+    config = _config(args)
     deltas = default_cylinder_family(
         config.window, max(max(args.shifts), 0), min(min(args.shifts), 0)
     )
-    return stationarity_suite(builder, args.shifts, deltas, config, threads=args.threads)
+    return stationarity_suite(_builder(args), args.shifts, deltas, config)
 
 
 def _diagnose_rotation(args) -> list[StatReport]:
-    config = DiagnosticsConfig(
-        sample_size=args.n,
-        particle_count=args.particles,
-        alpha=args.alpha,
-        seed=args.seed,
-        window=(args.window_lo, args.window_hi),
-    )
-    return [rotation_invariance_demo(config, args.t)]
+    return [rotation_invariance_demo(_config(args), args.t)]
 
 
 def _diagnose_conditional_law(args) -> list[StatReport]:
-    config = DiagnosticsConfig(
-        sample_size=args.n,
-        particle_count=args.particles,
-        alpha=args.alpha,
-        seed=args.seed,
-        window=(args.window_lo, args.window_hi),
-    )
+    config = _config(args)
     reports = [conditional_law_demo(args.rho, args.a, config)]
     # the shift comparison needs many replicas, not a huge per-replica ensemble
-    shift_config = DiagnosticsConfig(
-        sample_size=config.sample_size,
-        particle_count=min(200, config.particle_count),
-        alpha=config.alpha,
-        seed=config.seed,
-        window=config.window,
-    )
+    shift_config = replace(config, particle_count=min(200, config.particle_count))
     sampler = gaussian_pair_sampler(args.rho, args.a, shift_config)
 
     def shifted(r: int):
@@ -278,7 +259,6 @@ def _diagnose_conditional_law(args) -> list[StatReport]:
             alpha=config.alpha,
             seed=substream(args.seed, "pair-shift-proj"),
             name="conditional_law:shift=1",
-            threads=args.threads,
         )
     )
     return reports
@@ -287,15 +267,8 @@ def _diagnose_conditional_law(args) -> list[StatReport]:
 def _diagnose_consistency(args) -> list[StatReport]:
     if args.pairs < 1:
         raise ValueError("pairs must be at least 1")
-    update_map = update_map_from_name(args.map)
-    window = (args.window_lo, args.window_hi)
-    builder = MeasureBuilder(
-        update_map=update_map,
-        particle_count=args.particles,
-        window=window,
-        init_seed_stream=substream(args.seed, "consistency-init"),
-    )
-    lo, hi = window
+    builder = _builder(args)
+    lo, hi = builder.window
     split = (lo + hi) // 2
     past_root = substream(args.seed, "consistency-past")
     future_root = substream(args.seed, "consistency-future")
@@ -328,17 +301,9 @@ def _diagnose_equivariance(args) -> list[StatReport]:
         raise ValueError("shifts must be nonempty")
     if 0 in args.shifts:
         raise ValueError("shift 0 is vacuous; use nonzero shifts")
-    update_map = update_map_from_name(args.map)
-    window = (args.window_lo, args.window_hi)
-    builder = MeasureBuilder(
-        update_map=update_map,
-        particle_count=args.particles,
-        window=window,
-        init_seed_stream=substream(args.seed, "equivariance-init"),
-    )
-    noise = NoiseModel(seed=substream(args.seed, "equivariance-noise")).window(
-        window[0] + 1, window[1] - window[0]
-    )
+    builder = _builder(args)
+    lo, hi = builder.window
+    noise = NoiseModel(seed=substream(args.seed, "equivariance-noise")).window(lo + 1, hi - lo)
     failures = sum(
         0 if shift_equivariance_check(builder, noise, t) else 1 for t in args.shifts
     )
@@ -369,6 +334,7 @@ def cmd_diagnose(args) -> int:
     started = _utc_now()
     reports = _SUITES[args.suite](args)
     passed = all(r.passed for r in reports)
+    # --threads changes no result, so it is not an experiment parameter
     params = {
         key: value
         for key, value in vars(args).items()
@@ -396,7 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, default_out: str) -> None:
         p.add_argument("--seed", type=_seed_arg, default=0, help="master seed (64-bit)")
         p.add_argument("--out", default=default_out, help="report output path")
-        p.add_argument("--threads", type=int, default=1, help="worker count")
+        p.add_argument(
+            "--threads",
+            type=int,
+            default=1,
+            help="accepted for compatibility; changes neither results nor speed",
+        )
 
     p_sim = sub.add_parser("simulate", help="run one trajectory and write it as CSV")
     p_sim.add_argument("map_name", help='"fractional" or "contraction:a=<value>"')

@@ -22,7 +22,6 @@ from typing import Sequence
 import numpy as np
 
 from . import _ks as _sps  # perfbench/spans.py traces KS calls through this name
-from ._parallel import map_indexed
 from .errors import CoverageError
 from .measure_solution import MeasureBuilder, conditional_measure_sampler
 from .random_measure import (
@@ -117,7 +116,6 @@ def tsirelson_samples(
     n: int,
     *,
     update_map: UpdateMap | None = None,
-    threads: int = 1,
 ) -> np.ndarray:
     """Coordinate ``n`` of ``sample_size`` independent runs, one per replica.
 
@@ -128,19 +126,10 @@ def tsirelson_samples(
     lo, hi = config.window
     if not lo <= n <= hi:
         raise CoverageError(f"index {n} outside window {config.window}")
-    init_stream = substream(config.seed, "tsirelson-init")
-    noise_stream = substream(config.seed, "tsirelson-noise")
-
-    chunks = max(1, min(threads, config.sample_size))
-    index_parts = np.array_split(np.arange(config.sample_size), chunks)
-
-    def run_chunk(c: int) -> np.ndarray:
-        idx = index_parts[c]
-        return _chain_endpoint(
-            update_map, draw_u64(init_stream, idx), draw_u64(noise_stream, idx), lo, n
-        )
-
-    return np.concatenate(map_indexed(run_chunk, chunks, threads))
+    replicas = np.arange(config.sample_size)
+    init_seeds = draw_u64(substream(config.seed, "tsirelson-init"), replicas)
+    noise_seeds = draw_u64(substream(config.seed, "tsirelson-noise"), replicas)
+    return _chain_endpoint(update_map, init_seeds, noise_seeds, lo, n)
 
 
 def tsirelson_statistic(
@@ -148,7 +137,6 @@ def tsirelson_statistic(
     n: int,
     *,
     update_map: UpdateMap | None = None,
-    threads: int = 1,
 ) -> StatReport:
     """Modulus of the empirical mean of ``exp(2*pi*i*x_n)`` over fresh runs.
 
@@ -158,7 +146,7 @@ def tsirelson_statistic(
     below ``5/sqrt(sample_size)``; for other maps the report is
     informational.
     """
-    x = tsirelson_samples(config, n, update_map=update_map, threads=threads)
+    x = tsirelson_samples(config, n, update_map=update_map)
     statistic = abs(complex(np.mean(np.exp((2j * np.pi) * x))))
     return StatReport.from_statistic(
         test_name="tsirelson",
@@ -175,7 +163,6 @@ def conditional_char_statistic(
     *,
     update_map: UpdateMap | None = None,
     noise_paths: int = 10,
-    threads: int = 1,
 ) -> StatReport:
     """Largest conditional characteristic value over several frozen noises.
 
@@ -202,7 +189,7 @@ def conditional_char_statistic(
         x = _chain_endpoint(update_map, init_seeds, int(draw_u64(noise_root, p)), lo, n)
         return abs(complex(np.mean(np.exp((2j * np.pi) * x))))
 
-    moduli = map_indexed(path_modulus, noise_paths, threads)
+    moduli = [path_modulus(p) for p in range(noise_paths)]
     return StatReport.from_statistic(
         test_name="conditional_char",
         statistic=max(moduli),
@@ -254,8 +241,6 @@ def stationarity_suite(
     shifts: Sequence[int],
     deltas: Sequence[CylinderSet],
     config: DiagnosticsConfig,
-    *,
-    threads: int = 1,
 ) -> list[StatReport]:
     """Distributional equality of the measure sampler and its translates.
 
@@ -299,7 +284,6 @@ def stationarity_suite(
                 alpha=config.alpha,
                 seed=substream(config.seed, f"stationarity-proj:{t}"),
                 name=f"stationarity:shift={t}",
-                threads=threads,
             )
         )
     return reports

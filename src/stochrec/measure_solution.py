@@ -20,7 +20,13 @@ import numpy as np
 
 from .errors import CoverageError
 from .path_space import Window, shift_path
-from .random_measure import MeasureSampler, ParticleMeasure, integrate, shift_measure
+from .random_measure import (
+    MeasureSampler,
+    ParticleMeasure,
+    integrate,
+    measures_allclose,
+    shift_measure,
+)
 from .recurrence import NoiseModel, UpdateMap, advance
 from .seeds import draw_u64, draw_unit, substream
 
@@ -90,14 +96,6 @@ class MeasureBuilder:
             raise ValueError("particle_count must be positive")
         if not self.init_bounds[0] < self.init_bounds[1]:
             raise ValueError("init_bounds must be an increasing pair")
-
-    @property
-    def window_lo(self) -> int:
-        return self.window[0]
-
-    @property
-    def window_hi(self) -> int:
-        return self.window[1]
 
     def translated(self, t: int) -> "MeasureBuilder":
         """The same construction on the window moved forward by ``t``."""
@@ -318,6 +316,4 @@ def shift_equivariance_check(
     """
     lhs = shift_measure(conditional_measure(builder, noise), -t)
     rhs = conditional_measure(builder.translated(t), shift_path(noise, -t))
-    if lhs.offset != rhs.offset or lhs.values.shape != rhs.values.shape:
-        return False
-    return bool(np.max(np.abs(lhs.values - rhs.values)) <= atol)
+    return measures_allclose(lhs, rhs, atol)

@@ -14,7 +14,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _ks as _sps  # perfbench/spans.py traces KS calls through this name
-from ._parallel import map_indexed
 from .errors import CoverageError
 from .path_space import frozen_array
 from .seeds import draw_unit, substream
@@ -267,7 +266,6 @@ def distributions_equal(
     *,
     seed: int = _PROJECTION_SEED,
     name: str = "distributions_equal",
-    threads: int = 1,
 ) -> StatReport:
     """Test whether two measure samplers agree in distribution.
 
@@ -289,10 +287,8 @@ def distributions_equal(
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
 
-    rows_a = map_indexed(lambda r: _delta_vector(sampler_a(r), deltas), replicas, threads)
-    rows_b = map_indexed(lambda r: _delta_vector(sampler_b(r), deltas), replicas, threads)
-    vec_a = np.asarray(rows_a)
-    vec_b = np.asarray(rows_b)
+    vec_a = np.asarray([_delta_vector(sampler_a(r), deltas) for r in range(replicas)])
+    vec_b = np.asarray([_delta_vector(sampler_b(r), deltas) for r in range(replicas)])
 
     coeffs = 2.0 * draw_unit(substream(seed, "projection"), np.arange(len(deltas))) - 1.0
     proj_a = np.column_stack([vec_a, (vec_a * coeffs).sum(axis=1)])

@@ -1,4 +1,5 @@
 import json
+import threading
 
 import pytest
 
@@ -227,6 +228,18 @@ class TestBadInput:
         out = tmp_path / "x.csv"
         assert main(["simulate", "fractional", "3", "--threads", threads, "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_huge_thread_count_starts_no_thread(self, tmp_path, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the CLI must not start a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        base = ["diagnose", "stationarity", "--n", "150", "--particles", "80",
+                "--shifts", "1", "--seed", "5"]
+        assert main(base + ["--threads", "1", "--out", str(a)]) == 0
+        assert main(base + ["--threads", "100000", "--out", str(b)]) == 0
+        assert scrub_manifest(read_json(a)) == scrub_manifest(read_json(b))
 
     @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
     def test_non_finite_angle_exit_2(self, tmp_path, capsys, angle):

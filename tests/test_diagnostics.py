@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from stochrec import diagnostics
 from stochrec.diagnostics import (
     DiagnosticsConfig,
     RotationState,
@@ -15,12 +16,13 @@ from stochrec.diagnostics import (
     rotation_flow,
     rotation_invariance_demo,
     stationarity_suite,
+    tsirelson_samples,
     tsirelson_statistic,
 )
 from stochrec.errors import CoverageError
 from stochrec.measure_solution import MeasureBuilder, conditional_measure
 from stochrec.random_measure import CylinderSet, distributions_equal, integrate, shift_measure
-from stochrec.recurrence import NoiseModel, contraction_map, fractional_map
+from stochrec.recurrence import NoiseModel, contraction_map, fractional_map, stationary_sampler
 from stochrec.seeds import draw_u64, substream
 
 
@@ -28,6 +30,10 @@ def config(**kw):
     base = dict(sample_size=2000, particle_count=1500, alpha=0.01, seed=42, window=(0, 8))
     base.update(kw)
     return DiagnosticsConfig(**base)
+
+
+seeds = st.integers(0, 2**64 - 1)
+maps = st.sampled_from([fractional_map(), contraction_map(0.5)])
 
 
 class TestConfigTypes:
@@ -110,9 +116,20 @@ class TestTsirelsonStatistic:
         with pytest.raises(CoverageError):
             tsirelson_statistic(config(), 99)
 
-    def test_thread_invariance(self):
-        cfg = config(sample_size=3000)
-        assert tsirelson_statistic(cfg, 5) == tsirelson_statistic(cfg, 5, threads=4)
+    @settings(max_examples=25, deadline=None)
+    @given(seed=seeds, update_map=maps, lo=st.integers(-4, 4), data=st.data())
+    def test_samples_match_per_replica_sampler(self, seed, update_map, lo, data):
+        # the batched endpoint equals one plain trajectory per replica, bit for bit
+        hi = lo + 8
+        n = data.draw(st.integers(lo + 1, hi))
+        cfg = config(sample_size=100, seed=seed, window=(lo, hi))
+        samples = tsirelson_samples(cfg, n, update_map=update_map)
+        init_stream = substream(seed, "tsirelson-init")
+        noise_stream = substream(seed, "tsirelson-noise")
+        for r in range(cfg.sample_size):
+            noise = NoiseModel(seed=int(draw_u64(noise_stream, r))).window(lo + 1, n - lo)
+            path = stationary_sampler(update_map, noise, int(draw_u64(init_stream, r)))
+            assert samples[r] == path.coordinate(n)
 
 
 class TestConditionalCharStatistic:
@@ -155,6 +172,44 @@ class TestConditionalCharStatistic:
             moduli.append(abs(value))
         report = conditional_char_statistic(cfg, 5)
         assert report.statistic == pytest.approx(max(moduli), abs=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=seeds,
+        update_map=maps,
+        lo=st.integers(-4, 4),
+        particles=st.integers(1, 64),
+        data=st.data(),
+    )
+    def test_path_ensembles_match_conditional_measure(
+        self, seed, update_map, lo, particles, data
+    ):
+        # each frozen-noise ensemble equals the measure route's column, bit for bit
+        hi = lo + 8
+        n = data.draw(st.integers(lo + 1, hi))
+        cfg = config(particle_count=particles, seed=seed, window=(lo, hi))
+        ensembles = []
+        endpoint = diagnostics._chain_endpoint
+
+        def recording(*args):
+            ensembles.append(endpoint(*args))
+            return ensembles[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diagnostics, "_chain_endpoint", recording)
+            conditional_char_statistic(cfg, n, update_map=update_map, noise_paths=3)
+        init_root = substream(seed, "cond-char-init")
+        noise_root = substream(seed, "cond-char-noise")
+        assert len(ensembles) == 3
+        for p, x in enumerate(ensembles):
+            builder = MeasureBuilder(
+                update_map=update_map,
+                particle_count=particles,
+                window=cfg.window,
+                init_seed_stream=int(draw_u64(init_root, p)),
+            )
+            noise = NoiseModel(seed=int(draw_u64(noise_root, p))).window(lo + 1, hi - lo)
+            assert np.array_equal(x, conditional_measure(builder, noise).column(n))
 
 
 class TestStationaritySuite:

@@ -119,11 +119,13 @@ class TestOneSampleNormal:
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy.stats alone costs most of a second of every cold CLI start
+    # scipy.stats alone costs most of a second of every cold CLI start; and
+    # every computation runs in one thread, so no thread pool is imported
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import stochrec, stochrec.cli, sys; "
-        "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+        "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules); "
+        "assert 'concurrent.futures' not in sys.modules"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
     result = subprocess.run(

@@ -255,20 +255,6 @@ class TestDistributionsEqual:
         with pytest.raises(ValueError):
             distributions_equal(s, s, deltas, 150, 1.5)
 
-    def test_thread_count_does_not_change_result(self):
-        rows = np.random.default_rng(9).random((16, 2))
-
-        def sampler_a(r):
-            return ParticleMeasure.from_matrix(0, np.roll(rows, r, axis=0), None)
-
-        def sampler_b(r):
-            return ParticleMeasure.from_matrix(0, np.roll(rows, r + 3, axis=0), None)
-
-        deltas = [CylinderSet(0, ((0.0, 0.5),)), CylinderSet(1, ((0.1, 0.6),))]
-        one = distributions_equal(sampler_a, sampler_b, deltas, 128, 0.05, threads=1)
-        four = distributions_equal(sampler_a, sampler_b, deltas, 128, 0.05, threads=4)
-        assert one == four
-
 
 class TestKsThresholds:
     def test_critical_constant(self):

@@ -1,10 +1,6 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
-from stochrec import _parallel
-from stochrec._parallel import map_indexed
 from stochrec.seeds import (
     PRNG_NAME,
     draw_normal,
@@ -83,39 +79,3 @@ class TestDistributionQuality:
         b = draw_unit(substream(5, "right"), np.arange(50_000))
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.02
 
-
-class TestMapIndexed:
-    def test_preserves_order(self):
-        for threads in (1, 2, 7):
-            assert map_indexed(lambda i: i * i, 23, threads) == [i * i for i in range(23)]
-
-    def test_empty(self):
-        assert map_indexed(lambda i: i, 0, 4) == []
-
-    def test_negative_count(self):
-        with pytest.raises(ValueError):
-            map_indexed(lambda i: i, -1, 2)
-
-    @pytest.mark.parametrize("cpus,threads,expected", [(3, 10**6, 3), (8, 2, 2), (4, 50, 4)])
-    def test_workers_capped_at_cpu_count(self, monkeypatch, cpus, threads, expected):
-        # a stand-in executor runs submissions inline, so no real thread starts
-        started = []
-
-        class InlineExecutor:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                fn(*args)
-                return SimpleNamespace(result=lambda: None)
-
-        monkeypatch.setattr(_parallel, "ThreadPoolExecutor", InlineExecutor)
-        monkeypatch.setattr(_parallel.os, "cpu_count", lambda: cpus)
-        assert map_indexed(lambda i: 3 * i, 40, threads) == [3 * i for i in range(40)]
-        assert started == [expected]
