@@ -14,7 +14,6 @@ the noise.
 """
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -121,7 +120,7 @@ def conditional_measure(builder: MeasureBuilder, noise: Window) -> ParticleMeasu
     b_lo, b_hi = builder.init_bounds
     etas = b_lo + (b_hi - b_lo) * draw_unit(child_seeds, 0)
 
-    columns = np.empty((builder.particle_count, hi - lo + 1))
+    columns = np.empty((builder.particle_count, hi - lo + 1), order="F")
     columns[:, 0] = etas
     steps = noise.values[lo + 1 - noise.offset : hi + 1 - noise.offset]
     advance(builder.update_map.apply, etas, steps, out=columns[:, 1:])
@@ -158,15 +157,31 @@ def _probe_columns(mu: ParticleMeasure, spec: CharSpec, last: int) -> np.ndarray
     return mu.column_block(first, last)
 
 
+def _phases(block: np.ndarray, freqs) -> np.ndarray:
+    """``sum_k freqs[k] * block[:, k]`` per particle, as a left fold over columns.
+
+    Starts from ``+0.0`` and adds the columns in order, which is how numpy's
+    row reduction ``(block * freqs).sum(axis=1)`` sums rows shorter than 8
+    (pairwise summation takes over from 8), so both give the same bits,
+    signed zeros included.  On a column-major block every term is a
+    contiguous column and no ``(P, k)`` product is formed.
+    """
+    phases = np.zeros(block.shape[0])
+    for column, freq in zip(block.T, freqs):
+        phases += column * freq
+    return phases
+
+
 def hopf_lhs(mu: ParticleMeasure, spec: CharSpec) -> complex:
     """Characteristic functional of coordinates ``n+1 .. n+m+1``.
 
     ``integral of exp(i sum_k lambda_k u_{n+k} + i rho u_{n+m+1})``; the
-    modulus never exceeds 1.
+    modulus never exceeds 1.  The phase of each particle is a left fold from
+    ``+0.0``: ``((0 + lambda_1 u_{n+1}) + ...) + rho u_{n+m+1}``, in
+    coordinate order; :func:`hopf_rhs` folds its phases the same way.
     """
     block = _probe_columns(mu, spec, spec.n + spec.m + 1)
-    freqs = np.asarray(spec.lambdas + (spec.rho,))
-    phases = (block * freqs).sum(axis=1)
+    phases = _phases(block, spec.lambdas + (spec.rho,))
     return complex(integrate(mu, np.exp(1j * phases)))
 
 
@@ -179,8 +194,7 @@ def hopf_rhs(
     xi_{n+m+1}))``; the noise value enters alongside the measure.
     """
     block = _probe_columns(mu, spec, spec.n + spec.m)
-    freqs = np.asarray(spec.lambdas)
-    phases = (block * freqs).sum(axis=1)
+    phases = _phases(block, spec.lambdas)
     stepped = update_map.apply(block[:, -1], noise.coordinate(spec.n + spec.m + 1))
     return complex(integrate(mu, np.exp(1j * (phases + spec.rho * stepped))))
 
@@ -272,7 +286,7 @@ def perturb_last_coordinate(mu: ParticleMeasure, seed: int) -> ParticleMeasure:
     fails for probes that couple them.
     """
     order = np.argsort(draw_u64(substream(seed, "perturb"), np.arange(mu.particle_count)))
-    values = mu.values.copy()
+    values = mu.values.copy(order="F")
     values[:, -1] = values[order, -1]
     values.setflags(write=False)
     return ParticleMeasure.from_matrix(mu.offset, values, mu.weights)

@@ -27,11 +27,13 @@ def frozen_array(values) -> np.ndarray:
     """``values`` as a read-only float64 array.
 
     Arrays that are already read-only are shared; anything writable is
-    copied first, so a caller's array is never frozen or captured.
+    copied first, so a caller's array is never frozen or captured.  Copies
+    are column-major, the layout of particle matrices (see
+    :meth:`~stochrec.random_measure.ParticleMeasure.from_matrix`).
     """
     array = np.asarray(values, dtype=np.float64)
     if array.flags.writeable:
-        array = array.copy()
+        array = array.copy(order="F")
         array.setflags(write=False)
     return array
 

@@ -56,7 +56,10 @@ class ParticleMeasure:
     ) -> "ParticleMeasure":
         """Build a measure from an ``(n_particles, window_len)`` value matrix.
 
-        ``weights=None`` means the uniform ensemble.
+        ``weights=None`` means the uniform ensemble.  A writable matrix is
+        copied column-major, so each coordinate's particle values are
+        contiguous for the column reads of probes and rectangles; a
+        read-only matrix is shared as it is.
         """
         values = frozen_array(values)
         if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 import threading
 
 import pytest
@@ -119,6 +121,35 @@ class TestHopfCheck:
     def test_window_too_small_exit_2(self, tmp_path):
         args = ["hopf-check", "fractional", "--window", "2", "--out", str(tmp_path / "x.json")]
         assert main(args) == 2
+
+
+class TestGoldenPayloads:
+    """Small ``hopf-check`` payloads pinned by SHA-256, timestamps scrubbed.
+
+    Any ulp change in a probe value changes the digest, so a layout or
+    summation-order change to the measure or the probes shows up here
+    without running the benchmark.  Recorded on x86-64 with numpy 2.4.6.
+    """
+
+    @pytest.mark.parametrize(
+        "extra, code, digest",
+        [
+            ([], 0, "8c68988e726fb9f80132d9767fd6dfe0f45d6e2ee22cc50877bf89f55b3d3d0c"),
+            (
+                ["--perturb"],
+                1,
+                "42aa2686cb1aed3b359e9867d194d3944e844e7da4e21899d17b108389eae033",
+            ),
+        ],
+    )
+    def test_hopf_check_payload(self, tmp_path, extra, code, digest):
+        out = tmp_path / "hopf.json"
+        args = ["hopf-check", "fractional", "--particles", "1000", "--window", "8", "--seed", "3"]
+        assert main(args + extra + ["--out", str(out)]) == code
+        text = out.read_text(encoding="utf-8")
+        text = re.sub(r'"started_at": "[^"]*"', '"started_at": ""', text)
+        text = re.sub(r'"finished_at": "[^"]*"', '"finished_at": ""', text)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 class TestDiagnose:

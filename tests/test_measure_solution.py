@@ -2,7 +2,9 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from stochrec import measure_solution
 from stochrec.errors import CoverageError
 from stochrec.measure_solution import (
     CharSpec,
@@ -16,10 +18,18 @@ from stochrec.measure_solution import (
     hopf_rhs,
     perturb_last_coordinate,
     random_char_specs,
+    residual_report,
     shift_equivariance_check,
 )
 from stochrec.path_space import Window, shift_path
-from stochrec.random_measure import ParticleMeasure, integrate, measures_allclose, shift_measure
+from stochrec.random_measure import (
+    CylinderSet,
+    ParticleMeasure,
+    cylinder_prob,
+    integrate,
+    measures_allclose,
+    shift_measure,
+)
 from stochrec.recurrence import (
     NoiseModel,
     contraction_map,
@@ -195,6 +205,138 @@ class TestHopfResidual:
         pert = perturb_last_coordinate(mu, seed=5)
         assert sorted(pert.column(10)) == sorted(mu.column(10))
         assert np.array_equal(pert.column_block(0, 9), mu.column_block(0, 9))
+
+
+def row_sum_lhs(mu, spec):
+    # the row reduction over a C-ordered block that the probes used before the fold
+    block = np.ascontiguousarray(mu.column_block(spec.n + 1, spec.n + spec.m + 1))
+    phases = (block * np.asarray(spec.lambdas + (spec.rho,))).sum(axis=1)
+    return complex(integrate(mu, np.exp(1j * phases)))
+
+
+def row_sum_rhs(mu, noise, spec, update_map):
+    block = np.ascontiguousarray(mu.column_block(spec.n + 1, spec.n + spec.m))
+    phases = (block * np.asarray(spec.lambdas)).sum(axis=1)
+    stepped = update_map.apply(block[:, -1], noise.coordinate(spec.n + spec.m + 1))
+    return complex(integrate(mu, np.exp(1j * (phases + spec.rho * stepped))))
+
+
+def bits(*values):
+    """Bit patterns of floats or of complex numbers' real and imaginary parts."""
+    parts = []
+    for v in values:
+        parts.extend([v.real, v.imag] if isinstance(v, complex) else [v])
+    return np.asarray(parts, dtype=np.float64).view(np.int64).tolist()
+
+
+def read_only(matrix):
+    matrix.setflags(write=False)
+    return matrix
+
+
+class TestPhaseFold:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        particles=st.integers(1, 500),
+        length=st.integers(3, 12),
+        update_map=st.sampled_from([fractional_map(), contraction_map(0.5)]),
+        seed=st.integers(0, 2**64 - 1),
+        extra_specs=st.integers(0, 12),
+        layout=st.sampled_from(["C", "F"]),
+        perturbed=st.booleans(),
+    )
+    def test_equals_row_sum_bit_for_bit(
+        self, particles, length, update_map, seed, extra_specs, layout, perturbed
+    ):
+        # every probe the CLI generates (orders <= 4) keeps its old bits
+        window = (-1, length - 2)
+        builder = MeasureBuilder(
+            update_map=update_map,
+            particle_count=particles,
+            window=window,
+            init_seed_stream=substream(seed, "init"),
+        )
+        noise = NoiseModel(seed=substream(seed, "noise")).window(0, length - 1)
+        mu = conditional_measure(builder, noise)
+        if perturbed:
+            mu = perturb_last_coordinate(mu, seed)
+        values = read_only(np.array(mu.values, order=layout))
+        mu = ParticleMeasure.from_matrix(mu.offset, values)
+        assert mu.values is values
+        specs = char_spec_grid(window) + random_char_specs(window, extra_specs, seed)
+        for spec in specs:
+            lhs, rhs = row_sum_lhs(mu, spec), row_sum_rhs(mu, noise, spec, update_map)
+            assert bits(hopf_lhs(mu, spec)) == bits(lhs)
+            assert bits(hopf_rhs(mu, noise, spec, update_map)) == bits(rhs)
+            report = residual_report(mu, noise, spec, update_map)
+            got = [report[k] for k in ("lhs_re", "lhs_im", "rhs_re", "rhs_im", "residual")]
+            assert bits(*got) == bits(lhs, rhs, abs(lhs - rhs))
+
+    def test_signed_zero(self):
+        # a zero column with a -0.0 frequency and rho = 0.0: the fold starts from
+        # +0.0 like numpy's reduction, so no phase comes out as -0.0
+        values = np.zeros((3, 4))
+        values[:, 2] = [0.25, 0.5, 0.75]
+        mu = ParticleMeasure.from_matrix(0, values)
+        noise = Window(offset=1, values=(0.1, 0.2, 0.3))
+        spec = CharSpec(n=0, m=1, lambdas=(-0.0,), rho=0.0)
+        block = mu.column_block(1, 2)
+        freqs = spec.lambdas + (spec.rho,)
+        old = (np.ascontiguousarray(block) * np.asarray(freqs)).sum(axis=1)
+        phases = measure_solution._phases(block, freqs)
+        assert phases.view(np.int64).tolist() == old.view(np.int64).tolist() == [0, 0, 0]
+        lambda_only = measure_solution._phases(block[:, :1], spec.lambdas)
+        assert lambda_only.view(np.int64).tolist() == [0, 0, 0]
+        fm = fractional_map()
+        assert bits(hopf_lhs(mu, spec)) == bits(row_sum_lhs(mu, spec))
+        assert bits(hopf_rhs(mu, noise, spec, fm)) == bits(row_sum_rhs(mu, noise, spec, fm))
+
+    @pytest.mark.parametrize("update_map", [fractional_map(), contraction_map(0.5)])
+    def test_residual_exactly_zero_at_any_order(self, update_map):
+        # both sides fold the same terms in the same order, so high orders
+        # (where numpy's row reduction turns pairwise) stay exact as well
+        window = (0, 14)
+        builder = make_builder(particles=300, window=window, update_map=update_map)
+        noise = make_noise(window=window)
+        mu = conditional_measure(builder, noise)
+        freqs = 6.0 * NoiseModel(seed=substream(3, "freqs")).window(0, 14).values - 3.0
+        for m in range(1, 13):
+            spec = CharSpec(n=0, m=m, lambdas=tuple(freqs[:m]), rho=float(freqs[m]))
+            assert hopf_residual(mu, noise, spec, update_map) == 0.0
+
+
+class TestLayout:
+    def test_conditional_measure_is_column_major(self):
+        mu = conditional_measure(make_builder(), make_noise())
+        assert mu.values.flags.f_contiguous
+        assert not mu.values.flags.writeable
+        pert = perturb_last_coordinate(mu, seed=5)
+        assert pert.values.flags.f_contiguous
+        assert not pert.values.flags.writeable
+
+    def test_read_only_matrix_is_shared(self):
+        mu = conditional_measure(make_builder(), make_noise())
+        assert shift_measure(mu, 3).values is mu.values
+
+    def test_c_and_f_input_give_the_same_measure(self):
+        mu = conditional_measure(make_builder(window=(0, 10)), make_noise(window=(0, 10)))
+        noise = make_noise(window=(0, 10))
+        from_c = ParticleMeasure.from_matrix(0, np.ascontiguousarray(mu.values))
+        from_f = ParticleMeasure.from_matrix(0, np.asfortranarray(mu.values.copy()))
+        assert from_c.values.flags.f_contiguous and from_f.values.flags.f_contiguous
+        assert from_c.values.flags.writeable is False
+        shared_c = ParticleMeasure.from_matrix(0, read_only(np.ascontiguousarray(mu.values)))
+        assert shared_c.values.flags.c_contiguous
+        measures = (mu, from_c, from_f, shared_c)
+        for other in measures[1:]:
+            assert measures_allclose(mu, other, atol=0.0)
+        delta = CylinderSet(start=4, intervals=((0.1, 0.6), (0.3, 0.9)))
+        assert len({cylinder_prob(m, delta) for m in measures}) == 1
+        specs = char_spec_grid((0, 10)) + random_char_specs((0, 10), 8, seed=2)
+        fm = fractional_map()
+        for spec in specs:
+            values = [bits(hopf_lhs(m, spec), hopf_rhs(m, noise, spec, fm)) for m in measures]
+            assert all(v == values[0] for v in values)
 
 
 class TestSpecFamilies:
