@@ -120,10 +120,11 @@ def cmd_simulate(args) -> int:
     x0 = float(draw_unit(substream(args.seed, "simulate-init"), 0))
     path = np.empty(args.steps + 1)
     path[0] = x0
-    advance(update_map.apply, x0, noise.values, out=path[1:])
-    # Python floats: their repr is the shortest round-trip decimal; the
-    # initial state has no driving noise value
-    xis = ["", *map(repr, noise.values.tolist())]
+    xis = noise.values.tolist()
+    advance(update_map.apply, x0, xis, out=path[1:])
+    # Python floats step off numpy scalars and repr as the shortest
+    # round-trip decimal; rebinding frees them before the rows are built
+    xis = ["", *map(repr, xis)]
     manifest = _finish_manifest(
         "simulate", args, {"map": args.map_name, "steps": args.steps}, started
     )

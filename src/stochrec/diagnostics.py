@@ -329,11 +329,11 @@ def rotation_invariance_demo(
 def _stationary_gaussian_path(a: float, seed: int, lo: int, hi: int) -> np.ndarray:
     """AR(1) path with unit stationary variance, started at stationarity."""
     y = np.empty(hi - lo + 1)
-    y[0] = float(draw_normal(substream(seed, "pair-y0"), 0))
-    innov_stream = substream(seed, "pair-innov")
+    y[0] = y0 = float(draw_normal(substream(seed, "pair-y0"), 0))
     scale = math.sqrt(1.0 - a * a)
-    innovations = (scale * float(draw_normal(innov_stream, k)) for k in range(lo + 1, hi + 1))
-    advance(lambda x, e: a * x + e, y[0], innovations, out=y[1:])
+    # one array draw over counters lo+1..hi equals the per-counter draws
+    innovations = scale * draw_normal(substream(seed, "pair-innov"), np.arange(lo + 1, hi + 1))
+    advance(lambda x, e: a * x + e, y0, innovations.tolist(), out=y[1:])
     return y
 
 

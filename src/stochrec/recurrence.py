@@ -9,6 +9,7 @@ starts at ``n0 + 1``, and the step into index ``k + 1`` consumes the noise
 value at index ``k + 1``.
 """
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -49,8 +50,13 @@ class UpdateMap:
 def _frac(x):
     # fractional part as x - floor(x); maps negatives into [0, 1).  For
     # inputs a hair below an integer the subtraction can round to exactly
-    # 1.0, which is the same point on the circle as 0.0.  Scalar input gives
-    # a scalar, so scalar states do not turn into 0-d arrays.
+    # 1.0, which is the same point on the circle as 0.0.  A finite float
+    # stays off numpy; math.floor returns an int, so -0.0 - 0 keeps its
+    # sign, and the guard 0.0 < out < 1.0 sends -0.0 and 1.0 to the array
+    # branch's +0.0.  Other scalars give numpy scalars, not 0-d arrays.
+    if isinstance(x, float) and math.isfinite(x):
+        out = x - math.floor(x)
+        return out if 0.0 < out < 1.0 else 0.0
     out = x - np.floor(x)
     return np.where(out >= 1.0, 0.0, out)[()]
 
@@ -159,8 +165,8 @@ def _fill_path(update_map: UpdateMap, noise: Window, cut: int, x: float) -> Wind
                 f"update map {update_map.name!r} has no inverse; cannot iterate backward"
             )
         back = slice(cut - 1, None, -1)
-        advance(update_map.inverse_apply, x, noise.values[back], out=path[back])
-    advance(update_map.apply, x, noise.values[cut:], out=path[cut + 1 :])
+        advance(update_map.inverse_apply, x, noise.values[back].tolist(), out=path[back])
+    advance(update_map.apply, x, noise.values[cut:].tolist(), out=path[cut + 1 :])
     return Window(offset=noise.offset - 1, values=path)
 
 

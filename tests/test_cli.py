@@ -124,12 +124,20 @@ class TestHopfCheck:
 
 
 class TestGoldenPayloads:
-    """Small ``hopf-check`` payloads pinned by SHA-256, timestamps scrubbed.
+    """Small payloads pinned by SHA-256, timestamps scrubbed.
 
-    Any ulp change in a probe value changes the digest, so a layout or
-    summation-order change to the measure or the probes shows up here
-    without running the benchmark.  Recorded on x86-64 with numpy 2.4.6.
+    Any ulp change in a probe value, a simulated state or a drawn sample
+    changes the digest, so a layout, summation-order or scalar-path change
+    shows up here without running the benchmark.  Recorded on x86-64 with
+    numpy 2.4.6.
     """
+
+    @staticmethod
+    def digest(path) -> str:
+        text = path.read_text(encoding="utf-8")
+        text = re.sub(r'"started_at": "[^"]*"', '"started_at": ""', text)
+        text = re.sub(r'"finished_at": "[^"]*"', '"finished_at": ""', text)
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     @pytest.mark.parametrize(
         "extra, code, digest",
@@ -146,10 +154,30 @@ class TestGoldenPayloads:
         out = tmp_path / "hopf.json"
         args = ["hopf-check", "fractional", "--particles", "1000", "--window", "8", "--seed", "3"]
         assert main(args + extra + ["--out", str(out)]) == code
-        text = out.read_text(encoding="utf-8")
-        text = re.sub(r'"started_at": "[^"]*"', '"started_at": ""', text)
-        text = re.sub(r'"finished_at": "[^"]*"', '"finished_at": ""', text)
-        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+        assert self.digest(out) == digest
+
+    @pytest.mark.parametrize(
+        "map_name, digest",
+        [
+            ("fractional", "2e65cc0c4cb48e065380b6ced853c0513ba8f37496d821dd7aa89f581f197705"),
+            (
+                "contraction:a=0.5",
+                "a6e95a3a200da6fed6b7debb2bfe303529875a514d87360d7f9d27f7ab782931",
+            ),
+        ],
+    )
+    def test_simulate_payload(self, tmp_path, map_name, digest):
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", map_name, "2000", "--seed", "3", "--out", str(out)]) == 0
+        assert self.digest(out) == digest
+
+    def test_conditional_law_payload(self, tmp_path):
+        out = tmp_path / "law.json"
+        args = ["diagnose", "conditional-law", "--n", "150", "--particles", "3000", "--seed", "3"]
+        assert main(args + ["--out", str(out)]) == 0
+        assert self.digest(out) == (
+            "eb584045fca1612dacf136de3e50029242502278cc357783c8a9a45acd572caa"
+        )
 
 
 class TestDiagnose:

@@ -23,7 +23,7 @@ from stochrec.errors import CoverageError
 from stochrec.measure_solution import MeasureBuilder, conditional_measure
 from stochrec.random_measure import CylinderSet, distributions_equal, integrate, shift_measure
 from stochrec.recurrence import NoiseModel, contraction_map, fractional_map, stationary_sampler
-from stochrec.seeds import draw_u64, substream
+from stochrec.seeds import draw_normal, draw_u64, substream
 
 
 def config(**kw):
@@ -34,6 +34,22 @@ def config(**kw):
 
 seeds = st.integers(0, 2**64 - 1)
 maps = st.sampled_from([fractional_map(), contraction_map(0.5)])
+open_unit = st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+def reference_gaussian_path(a, seed, lo, hi):
+    """The AR(1) driver path drawn one innovation counter at a time."""
+    y = np.empty(hi - lo + 1)
+    y[0] = float(draw_normal(substream(seed, "pair-y0"), 0))
+    innov_stream = substream(seed, "pair-innov")
+    scale = math.sqrt(1.0 - a * a)
+    for j, k in enumerate(range(lo + 1, hi + 1)):
+        y[j + 1] = a * y[j] + scale * float(draw_normal(innov_stream, k))
+    return y
+
+
+def int_bits(values):
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.int64).tolist()
 
 
 class TestConfigTypes:
@@ -342,3 +358,27 @@ class TestGaussianPairSampler:
             sampler, shifted, deltas, replicas=cfg.sample_size, alpha=cfg.alpha
         )
         assert report.passed
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        rho=open_unit, a=open_unit, seed=seeds, lo=st.integers(-20, 20),
+        steps=st.integers(1, 29), replica=st.integers(0, 2**20),
+    )
+    def test_replica_matches_per_counter_draws(self, rho, a, seed, lo, steps, replica):
+        cfg = config(sample_size=100, particle_count=3, seed=seed, window=(lo, lo + steps))
+        got = gaussian_pair_sampler(rho, a, cfg)(replica).values
+        y = reference_gaussian_path(
+            a, int(draw_u64(substream(seed, "pair-path"), replica)), lo, lo + steps
+        )
+        eps_seed = int(draw_u64(substream(seed, "pair-ensemble"), replica))
+        eps = draw_normal(eps_seed, np.arange(3 * (steps + 1))).reshape(3, steps + 1)
+        assert int_bits(got) == int_bits(rho * y[None, :] + math.sqrt(1.0 - rho * rho) * eps)
+
+
+class TestStationaryGaussianPath:
+    @settings(max_examples=200, deadline=None)
+    @given(a=open_unit, seed=seeds, lo=st.integers(-20, 20), length=st.integers(1, 30))
+    def test_matches_per_counter_draws(self, a, seed, lo, length):
+        hi = lo + length - 1
+        got = diagnostics._stationary_gaussian_path(a, seed, lo, hi)
+        assert int_bits(got) == int_bits(reference_gaussian_path(a, seed, lo, hi))

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy import stats as sps
 
 from stochrec.errors import CoverageError, InverseUnavailableError
@@ -45,6 +47,55 @@ class TestFractionalMap:
         fm = fractional_map()
         out = fm.apply(np.array([0.25, 0.75]), 0.5)
         assert np.allclose(out, [0.75, 0.25])
+
+
+def float_bits(value) -> int:
+    return int(np.asarray(value, dtype=np.float64).view(np.int64))
+
+
+EDGE_STATES = [
+    -0.0, 5e-324, -5e-324, 1 - 2**-53, 2.0**60, -(2.0**60), 1e308, -1e308,
+    math.inf, -math.inf, math.nan,
+]
+
+
+class TestFractionalScalarBranch:
+    """A scalar state gives the same bits as the same call on a 1-element array."""
+
+    @staticmethod
+    def check(step, x, y):
+        # non-finite and overflowing inputs warn in numpy, as they should
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = step(x, y)
+            want = step(np.array([x]), y)[0]
+        assert not isinstance(got, np.ndarray)
+        if np.isnan(want):
+            assert np.isnan(got)
+        else:
+            assert float_bits(got) == float_bits(want)
+
+    @pytest.mark.parametrize("direction", ["apply", "inverse_apply"])
+    @pytest.mark.parametrize("y", [0.0, -0.0, 0.25, 1.0])
+    @pytest.mark.parametrize("x", EDGE_STATES)
+    def test_edge_states(self, x, y, direction):
+        step = getattr(fractional_map(), direction)
+        self.check(step, x, y)
+        self.check(step, np.float64(x), y)
+
+    @given(x=st.floats(), y=st.floats(), numpy_scalar=st.booleans())
+    @example(x=-0.0, y=-0.0, numpy_scalar=False)
+    @example(x=-1e-17, y=0.0, numpy_scalar=False)
+    def test_scalar_equals_array(self, x, y, numpy_scalar):
+        fm = fractional_map()
+        x = np.float64(x) if numpy_scalar else x
+        self.check(fm.apply, x, y)
+        self.check(fm.inverse_apply, x, y)
+
+    def test_signed_zero_maps_to_positive_zero(self):
+        fm = fractional_map()
+        assert float_bits(fm.apply(-0.0, -0.0)) == 0
+        assert float_bits(fm.inverse_apply(-1e-17, 0.0)) == 0
+        assert type(fm.apply(0.25, 0.5)) is float
 
 
 class TestContractionMap:
@@ -144,6 +195,45 @@ def per_step_reference(update_map, x0, noise):
             x = float(update_map.apply(x, xi))
             trajectory[j, k] = x
     return trajectory
+
+
+class TestFillPath:
+    """``iterate_backward`` and ``stationary_sampler`` match an array-branch loop."""
+
+    @staticmethod
+    def array_steps(step, x, noise_values):
+        # one 1-element array per step, so every value takes the array branch
+        states = []
+        for xi in noise_values:
+            x = step(np.array([x]), xi)[0]
+            states.append(x)
+        return states
+
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        length=st.integers(1, 40),
+        make_map=st.sampled_from([fractional_map, lambda: contraction_map(0.5)]),
+    )
+    def test_backward_bit_for_bit(self, seed, length, make_map):
+        update_map = make_map()
+        noise = NoiseModel(seed=seed).window(-3, length)
+        x_end = float(draw_unit(substream(seed, "end"), 0))
+        path = iterate_backward(x_end, noise, update_map)
+        expected = self.array_steps(update_map.inverse_apply, x_end, noise.values[::-1])
+        expected = np.array([*expected[::-1], x_end])
+        assert path.values.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+    @given(seed=st.integers(0, 2**64 - 1), length=st.integers(1, 40), data=st.data())
+    def test_mid_window_sampler_bit_for_bit(self, seed, length, data):
+        update_map = fractional_map()
+        noise = NoiseModel(seed=seed).window(1, length)
+        cut = data.draw(st.integers(0, length))
+        path = stationary_sampler(update_map, noise, init_seed=seed, init_index=cut)
+        eta = float(draw_unit(seed, 0))
+        left = self.array_steps(update_map.inverse_apply, eta, noise.values[:cut][::-1])
+        right = self.array_steps(update_map.apply, eta, noise.values[cut:])
+        expected = np.array([*left[::-1], eta, *right])
+        assert path.values.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
 
 class TestAdvance:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from stochrec.seeds import (
     PRNG_NAME,
@@ -79,3 +80,17 @@ class TestDistributionQuality:
         b = draw_unit(substream(5, "right"), np.arange(50_000))
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.02
 
+
+class TestArrayDraws:
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        first=st.integers(-(2**63), 2**63 - 64),
+        n=st.integers(1, 40),
+    )
+    @example(seed=0, first=-20, n=40)
+    def test_normal_array_equals_scalar_draws(self, seed, first, n):
+        # one array call over counters first..first+n-1 gives the per-counter
+        # scalar values bit for bit, negative counters included
+        array = draw_normal(seed, np.arange(first, first + n))
+        scalars = np.array([draw_normal(seed, k) for k in range(first, first + n)])
+        assert array.view(np.int64).tolist() == scalars.view(np.int64).tolist()
