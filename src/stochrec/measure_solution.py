@@ -14,6 +14,7 @@ the noise.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from .path_space import Window, shift_path
 from .random_measure import (
     MeasureSampler,
     ParticleMeasure,
-    integrate,
     measures_allclose,
     shift_measure,
 )
@@ -78,7 +78,9 @@ class MeasureBuilder:
     the initializer sits at ``n_lo`` and is drawn uniformly on
     ``init_bounds``.  Particle ``j`` uses the seed derived from
     ``(init_seed_stream, j)``, so the ensemble is a pure function of the
-    builder and the noise, independent of evaluation order.
+    builder and the noise, independent of evaluation order.  The
+    initializers are drawn once per builder, on first use, and shared by
+    every measure it builds.
     """
 
     update_map: UpdateMap
@@ -96,6 +98,15 @@ class MeasureBuilder:
         if not self.init_bounds[0] < self.init_bounds[1]:
             raise ValueError("init_bounds must be an increasing pair")
 
+    @cached_property
+    def initializers(self) -> np.ndarray:
+        """The ``particle_count`` initial states at ``n_lo``, read-only."""
+        child_seeds = draw_u64(self.init_seed_stream, np.arange(self.particle_count))
+        b_lo, b_hi = self.init_bounds
+        etas = b_lo + (b_hi - b_lo) * draw_unit(child_seeds, 0)
+        etas.setflags(write=False)
+        return etas
+
     def translated(self, t: int) -> "MeasureBuilder":
         """The same construction on the window moved forward by ``t``."""
         return replace(self, window=(self.window[0] + t, self.window[1] + t))
@@ -104,11 +115,11 @@ class MeasureBuilder:
 def conditional_measure(builder: MeasureBuilder, noise: Window) -> ParticleMeasure:
     """Freeze the noise and run the initializer ensemble through it.
 
-    Draws ``particle_count`` independent initializers (one splitmix64 child
-    seed per particle index), plants each at the window start, and advances
-    all of them through the same noise values.  Every particle satisfies the
-    one-step recurrence exactly along the window; the result is the
-    uniform-weight ensemble.
+    Plants the builder's ``particle_count`` independent initializers (one
+    splitmix64 child seed per particle index) at the window start and
+    advances all of them through the same noise values.  Every particle
+    satisfies the one-step recurrence exactly along the window; the result
+    is the uniform-weight ensemble.
     """
     lo, hi = builder.window
     if not noise.covers_range(lo + 1, hi):
@@ -116,10 +127,7 @@ def conditional_measure(builder: MeasureBuilder, noise: Window) -> ParticleMeasu
             f"noise [{noise.first_index}, {noise.last_index}] does not cover "
             f"transitions [{lo + 1}, {hi}]"
         )
-    child_seeds = draw_u64(builder.init_seed_stream, np.arange(builder.particle_count))
-    b_lo, b_hi = builder.init_bounds
-    etas = b_lo + (b_hi - b_lo) * draw_unit(child_seeds, 0)
-
+    etas = builder.initializers
     columns = np.empty((builder.particle_count, hi - lo + 1), order="F")
     columns[:, 0] = etas
     steps = noise.values[lo + 1 - noise.offset : hi + 1 - noise.offset]
@@ -181,8 +189,7 @@ def hopf_lhs(mu: ParticleMeasure, spec: CharSpec) -> complex:
     coordinate order; :func:`hopf_rhs` folds its phases the same way.
     """
     block = _probe_columns(mu, spec, spec.n + spec.m + 1)
-    phases = _phases(block, spec.lambdas + (spec.rho,))
-    return complex(integrate(mu, np.exp(1j * phases)))
+    return _char_integral(mu, _phases(block, spec.lambdas + (spec.rho,)))
 
 
 def hopf_rhs(
@@ -194,9 +201,25 @@ def hopf_rhs(
     xi_{n+m+1}))``; the noise value enters alongside the measure.
     """
     block = _probe_columns(mu, spec, spec.n + spec.m)
-    phases = _phases(block, spec.lambdas)
     stepped = update_map.apply(block[:, -1], noise.coordinate(spec.n + spec.m + 1))
-    return complex(integrate(mu, np.exp(1j * (phases + spec.rho * stepped))))
+    phases = _phases(block, spec.lambdas)
+    phases += spec.rho * stepped
+    del stepped  # one real and one complex array at most are live below
+    return _char_integral(mu, phases)
+
+
+def _char_integral(mu: ParticleMeasure, phases: np.ndarray) -> complex:
+    """``integrate(mu, np.exp(1j * phases))``, bit for bit, in one buffer.
+
+    The exponential and the weighting run in place in the complex array,
+    so a probe side holds one complex array besides its real phases.
+    Separate temporaries would let each probe on a large ensemble grow the
+    heap past glibc's trim threshold, and every probe would then fault in
+    fresh pages (about 1,500 per probe at 200,000 particles).
+    """
+    values = 1j * phases
+    np.exp(values, out=values)
+    return complex(np.multiply(mu.weights, values, out=values).sum())
 
 
 def hopf_residual(

@@ -199,14 +199,15 @@ def integrate(mu: ParticleMeasure, values: np.ndarray):
         raise ValueError(
             f"expected one value per particle {mu.weights.shape}, got shape {values.shape}"
         )
-    return np.sum(mu.weights * values)
+    return (mu.weights * values).sum()
 
 
 def cylinder_prob(mu: ParticleMeasure, delta: CylinderSet) -> float:
     """Measure of the rectangle: weighted fraction of particles inside it."""
     block = mu.column_block(delta.start, delta.last_index)
-    inside = np.ones(mu.particle_count, dtype=bool)
-    for j, (a, b) in enumerate(delta.intervals):
+    (a, b), *rest = delta.intervals
+    inside = (block[:, 0] >= a) & (block[:, 0] < b)
+    for j, (a, b) in enumerate(rest, 1):
         col = block[:, j]
         inside &= (col >= a) & (col < b)
     return float(integrate(mu, inside))

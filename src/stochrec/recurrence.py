@@ -10,7 +10,7 @@ value at index ``k + 1``.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -57,8 +57,9 @@ def _frac(x):
     if isinstance(x, float) and math.isfinite(x):
         out = x - math.floor(x)
         return out if 0.0 < out < 1.0 else 0.0
-    out = x - np.floor(x)
-    return np.where(out >= 1.0, 0.0, out)[()]
+    out = np.asarray(x - np.floor(x))  # a fresh array, so zeroed in place
+    out[out >= 1.0] = 0.0
+    return out[()]
 
 
 def fractional_map() -> UpdateMap:
@@ -130,7 +131,7 @@ class NoiseModel:
 
     def substream(self, index: int) -> "NoiseModel":
         """An independent child model for replica ``index`` (same law)."""
-        return replace(self, seed=int(draw_u64(self.seed, index)))
+        return NoiseModel(self.law, int(draw_u64(self.seed, index)))
 
 
 def advance(step: Callable, x, noise_values, out: np.ndarray | None = None):

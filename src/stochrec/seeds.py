@@ -17,6 +17,11 @@ Splitting rule
   lets noise values be addressed by absolute sequence index).
 * Per-replica child seeds are ``draw_u64(stream_seed, replica_index)``.
 
+When the seed and the counter are both scalars (Python or numpy integers, or
+0-d arrays), the arithmetic runs on Python ints masked to 64 bits and the
+result is a numpy scalar (``np.uint64`` from :func:`mix64` and
+:func:`draw_u64`); it equals the array path bit for bit.
+
 The generator is splitmix64 (64-bit state, passes the usual statistical
 batteries); reports record it under the name :data:`PRNG_NAME`.
 """
@@ -46,13 +51,14 @@ _INV_2_53 = float(2.0**-53)
 
 
 def _as_u64(x):
-    """Coerce an int or integer array to uint64, wrapping modulo 2**64."""
+    """An integer scalar or 0-d array as a Python int modulo 2**64; an
+    integer array as uint64 (negative values wrap)."""
     if isinstance(x, (int, np.integer)):
-        return np.asarray(int(x) & _U64_MASK, dtype=np.uint64)
+        return int(x) & _U64_MASK
     a = np.asarray(x)
-    if a.dtype == np.uint64:
-        return a
-    return a.astype(np.int64, copy=False).astype(np.uint64)
+    if a.dtype != np.uint64:
+        a = a.astype(np.int64, copy=False).astype(np.uint64)
+    return int(a) if a.ndim == 0 else a
 
 
 def fnv1a64(text: str) -> int:
@@ -63,41 +69,71 @@ def fnv1a64(text: str) -> int:
     return h
 
 
+def _mix(z: int) -> int:
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E9B5) & _U64_MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64_MASK
+    return z ^ (z >> 31)
+
+
+def _mix_array(z: np.ndarray) -> np.ndarray:
+    # uint64 array arithmetic wraps silently; only numpy scalar ops warn
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E9B5)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
 def mix64(z):
     """splitmix64 finalizer: a bijective avalanche mix on uint64 values."""
     z = _as_u64(z)
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E9B5)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    return np.uint64(_mix(z)) if isinstance(z, int) else _mix_array(z)
 
 
 def substream(master: int, tag: str) -> int:
     """Derive the named child seed ``mix64(master XOR fnv1a64(tag))``."""
-    return int(mix64(_as_u64(master) ^ _as_u64(fnv1a64(tag))))
+    return _mix(_as_u64(master) ^ fnv1a64(tag))
+
+
+def _draw(seed, counters):
+    """:func:`draw_u64` as a Python int when both arguments are scalars,
+    else as a uint64 array.  A scalar counter's step ``(counter + 1) *
+    GOLDEN`` is taken in Python ints either way, so no numpy scalar op (the
+    only kind that warns on overflow) is ever evaluated."""
+    s, c = _as_u64(seed), _as_u64(counters)
+    if isinstance(c, int):
+        step = ((c + 1) * GOLDEN) & _U64_MASK
+        if isinstance(s, int):
+            return _mix((s + step) & _U64_MASK)
+        return _mix_array(s + np.uint64(step))
+    if isinstance(s, int):
+        s = np.uint64(s)
+    return _mix_array(s + (c + np.uint64(1)) * _GOLDEN_U)
 
 
 def draw_u64(seed, counters):
     """Element(s) of the splitmix64 sequence seeded at ``seed``.
 
     ``seed`` and ``counters`` may each be a scalar or an integer array; they
-    broadcast against each other.  Returns uint64 with the broadcast shape.
+    broadcast against each other.  Returns uint64 with the broadcast shape:
+    ``np.uint64`` when both are scalars.
     """
-    with np.errstate(over="ignore"):
-        state = _as_u64(seed) + (_as_u64(counters) + np.uint64(1)) * _GOLDEN_U
-    return mix64(state)
+    bits = _draw(seed, counters)
+    return np.uint64(bits) if isinstance(bits, int) else bits
 
 
 def draw_unit(seed, counters):
     """Uniform float64 draws in [0, 1): the top 53 bits of :func:`draw_u64`."""
-    bits = draw_u64(seed, counters) >> np.uint64(11)
-    return bits.astype(np.float64) * _INV_2_53
+    bits = _draw(seed, counters)
+    if isinstance(bits, int):
+        return np.float64((bits >> 11) * _INV_2_53)
+    return (bits >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
 def draw_unit_open(seed, counters):
     """Uniform float64 draws in (0, 1]; safe as a logarithm argument."""
-    bits = (draw_u64(seed, counters) >> np.uint64(11)) + np.uint64(1)
-    return bits.astype(np.float64) * _INV_2_53
+    bits = _draw(seed, counters)
+    if isinstance(bits, int):
+        return np.float64(((bits >> 11) + 1) * _INV_2_53)
+    return ((bits >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * _INV_2_53
 
 
 _NORMAL_R_SALT = fnv1a64("normal-radius")
@@ -111,6 +147,7 @@ def draw_normal(seed, counters):
     pure functions of ``(seed, counter)``.
     """
     s = _as_u64(seed)
-    u1 = draw_unit_open(mix64(s ^ _as_u64(_NORMAL_R_SALT)), counters)
-    u2 = draw_unit(mix64(s ^ _as_u64(_NORMAL_T_SALT)), counters)
+    mix = _mix if isinstance(s, int) else _mix_array
+    u1 = draw_unit_open(mix(s ^ _NORMAL_R_SALT), counters)
+    u2 = draw_unit(mix(s ^ _NORMAL_T_SALT), counters)
     return np.sqrt(-2.0 * np.log(u1)) * np.cos((2.0 * np.pi) * u2)

@@ -36,7 +36,7 @@ from stochrec.recurrence import (
     fractional_map,
     stationary_sampler,
 )
-from stochrec.seeds import draw_u64, substream
+from stochrec.seeds import draw_u64, draw_unit, substream
 
 
 def make_builder(particles=400, window=(0, 10), seed_tag="init", update_map=None, **kw):
@@ -71,6 +71,77 @@ class TestTypes:
         b = make_builder(window=(0, 8))
         assert b.translated(3).window == (3, 11)
         assert b.translated(3).init_seed_stream == b.init_seed_stream
+
+
+def per_call_measure(builder, noise):
+    # the construction as it drew its initializers on every call
+    lo, hi = builder.window
+    child_seeds = draw_u64(builder.init_seed_stream, np.arange(builder.particle_count))
+    b_lo, b_hi = builder.init_bounds
+    etas = b_lo + (b_hi - b_lo) * draw_unit(child_seeds, 0)
+    columns = np.empty((builder.particle_count, hi - lo + 1), order="F")
+    columns[:, 0] = etas
+    x = etas
+    for k in range(lo + 1, hi + 1):
+        x = builder.update_map.apply(x, noise.coordinate(k))
+        columns[:, k - lo] = x
+    return columns
+
+
+class TestInitializers:
+    def test_read_only_and_drawn_once_per_builder(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return draw_u64(*args)
+
+        monkeypatch.setattr(measure_solution, "draw_u64", counting)
+        builder = make_builder(particles=50)
+        etas = builder.initializers
+        assert not etas.flags.writeable
+        with pytest.raises(ValueError):
+            etas[0] = 0.5
+        noise = make_noise()
+        first = conditional_measure(builder, noise)
+        second = conditional_measure(builder, make_noise(seed_tag="other"))
+        assert builder.initializers is etas
+        assert len(calls) == 1
+        assert np.array_equal(first.column(0), etas)
+        assert np.array_equal(second.column(0), etas)
+
+    @pytest.mark.parametrize("t", [1, -4, 7])
+    def test_translated_builder_has_the_same_initializers(self, t):
+        builder = make_builder(particles=64, init_bounds=(-2.0, 3.0))
+        moved = builder.translated(t)
+        assert moved.initializers is not builder.initializers
+        assert bits(*moved.initializers) == bits(*builder.initializers)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        particles=st.integers(1, 300),
+        lo=st.integers(-20, 20),
+        length=st.integers(1, 14),
+        bounds=st.tuples(
+            st.floats(-5.0, 5.0, allow_subnormal=False), st.floats(0.01, 5.0)
+        ).map(lambda ab: (ab[0], ab[0] + ab[1])),
+        seed=st.integers(0, 2**64 - 1),
+        update_map=st.sampled_from([fractional_map(), contraction_map(0.5)]),
+        builds=st.integers(1, 3),
+    )
+    def test_equals_per_call_draw(self, particles, lo, length, bounds, seed, update_map, builds):
+        builder = MeasureBuilder(
+            update_map=update_map,
+            particle_count=particles,
+            window=(lo, lo + length),
+            init_seed_stream=substream(seed, "init"),
+            init_bounds=bounds,
+        )
+        for r in range(builds):
+            noise = NoiseModel(seed=substream(seed, f"noise:{r}")).window(lo + 1, length)
+            got = conditional_measure(builder, noise).values
+            want = per_call_measure(builder, noise)
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 class TestConditionalMeasure:
@@ -244,9 +315,10 @@ class TestPhaseFold:
         extra_specs=st.integers(0, 12),
         layout=st.sampled_from(["C", "F"]),
         perturbed=st.booleans(),
+        weighted=st.booleans(),
     )
     def test_equals_row_sum_bit_for_bit(
-        self, particles, length, update_map, seed, extra_specs, layout, perturbed
+        self, particles, length, update_map, seed, extra_specs, layout, perturbed, weighted
     ):
         # every probe the CLI generates (orders <= 4) keeps its old bits
         window = (-1, length - 2)
@@ -261,7 +333,11 @@ class TestPhaseFold:
         if perturbed:
             mu = perturb_last_coordinate(mu, seed)
         values = read_only(np.array(mu.values, order=layout))
-        mu = ParticleMeasure.from_matrix(mu.offset, values)
+        weights = None
+        if weighted:
+            weights = 0.01 + NoiseModel(seed=substream(seed, "w")).window(0, particles).values
+            weights = weights / weights.sum()
+        mu = ParticleMeasure.from_matrix(mu.offset, values, weights)
         assert mu.values is values
         specs = char_spec_grid(window) + random_char_specs(window, extra_specs, seed)
         for spec in specs:

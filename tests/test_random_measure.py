@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stochrec.errors import CoverageError
 from stochrec.random_measure import (
@@ -163,6 +164,71 @@ class TestCylinderProb:
             small = cylinder_prob(mu, CylinderSet(0, ((a, b), (0.2, 0.8))))
             grown = cylinder_prob(mu, CylinderSet(0, ((a - 0.1, b + 0.1), (0.2, 0.8))))
             assert grown >= small
+
+
+def reference_integrate(mu, values):
+    # the weighted sum as np.sum computed it
+    return np.sum(mu.weights * np.asarray(values))
+
+
+def reference_cylinder_prob(mu, delta):
+    # the rectangle as it was evaluated from an all-true mask
+    block = mu.column_block(delta.start, delta.last_index)
+    inside = np.ones(mu.particle_count, dtype=bool)
+    for j, (a, b) in enumerate(delta.intervals):
+        col = block[:, j]
+        inside &= (col >= a) & (col < b)
+    return float(reference_integrate(mu, inside))
+
+
+def bits(*values):
+    parts = []
+    for v in values:
+        parts.extend([v.real, v.imag] if isinstance(v, complex) else [v])
+    return np.asarray(parts, dtype=np.float64).view(np.int64).tolist()
+
+
+@st.composite
+def random_measures(draw):
+    """A NaN-free particle measure, C- or F-ordered, uniform or weighted."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    particles, length = draw(st.integers(1, 300)), draw(st.integers(3, 8))
+    # rounded values land exactly on interval edges now and then
+    values = np.round(2.0 * rng.random((particles, length)) - 0.5, draw(st.integers(1, 6)))
+    values = np.array(values, order=draw(st.sampled_from(["C", "F"])))
+    weights = None
+    if draw(st.booleans()):
+        weights = rng.random(particles) + 1e-3
+        weights /= weights.sum()
+    offset = draw(st.integers(-5, 5))
+    return ParticleMeasure.from_matrix(offset, values, weights), rng
+
+
+edge = st.sampled_from([-0.5, 0.0, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5])
+intervals = st.tuples(edge, edge).filter(lambda ab: ab[0] < ab[1])
+
+
+class TestSameBitsAsReference:
+    @settings(max_examples=150, deadline=None)
+    @given(measure=random_measures(), ivals=st.lists(intervals, min_size=1, max_size=3),
+           start=st.integers(0, 5))
+    def test_cylinder_prob(self, measure, ivals, start):
+        mu, _ = measure
+        delta = CylinderSet(mu.offset + min(start, mu.window_length - len(ivals)), tuple(ivals))
+        got = cylinder_prob(mu, delta)
+        assert isinstance(got, float)
+        assert bits(got) == bits(reference_cylinder_prob(mu, delta))
+
+    @settings(max_examples=100, deadline=None)
+    @given(measure=random_measures(), k=st.integers(0, 1))
+    def test_integrate_float_and_complex(self, measure, k):
+        mu, rng = measure
+        real = mu.column(mu.offset + k) ** 2 - rng.random(mu.particle_count)
+        cplx = np.exp(1j * (3.0 * mu.column(mu.offset + k + 1) - real))
+        for values in (real, cplx):
+            got, want = integrate(mu, values), reference_integrate(mu, values)
+            assert type(got) is type(want)
+            assert bits(complex(got)) == bits(complex(want))
 
 
 class TestShiftMeasure:

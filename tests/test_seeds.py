@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from stochrec.seeds import (
+    GOLDEN,
     PRNG_NAME,
     draw_normal,
     draw_u64,
@@ -94,3 +97,111 @@ class TestArrayDraws:
         array = draw_normal(seed, np.arange(first, first + n))
         scalars = np.array([draw_normal(seed, k) for k in range(first, first + n)])
         assert array.view(np.int64).tolist() == scalars.view(np.int64).tolist()
+
+
+MASK = 2**64 - 1
+
+
+def bits(x):
+    """Bit patterns of a uint64 or float64 scalar or array, as int64."""
+    return np.asarray(x).reshape(-1).view(np.int64).tolist()
+
+
+def reference_u64(seed, counter):
+    # splitmix64 on 1-element uint64 arrays, written out independently
+    z = np.array([int(seed) & MASK], dtype=np.uint64)
+    z = z + (np.array([int(counter) & MASK], dtype=np.uint64) + np.uint64(1)) * np.uint64(GOLDEN)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E9B5)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+# values across the whole 64-bit range, with the edges hypothesis might miss
+edges = st.sampled_from(
+    [0, 1, -1, 2**63 - 1, -(2**63), 2**63, 2**64 - 1, 2**63 - 2, -(2**63) + 1]
+)
+values64 = st.one_of(edges, st.integers(-(2**63), 2**64 - 1))
+
+
+@st.composite
+def integer_scalars(draw):
+    """A 64-bit value as a Python int, np.int64 or np.uint64 (wrapped to fit)."""
+    value = draw(values64)
+    kind = draw(st.sampled_from(["int", "int64", "uint64"]))
+    if kind == "int":
+        return value
+    if kind == "uint64":
+        return np.uint64(value & MASK)
+    return np.int64(value - 2**64 if value >= 2**63 else value)
+
+
+def as_array(value):
+    return np.array([int(value) & MASK], dtype=np.uint64)
+
+
+def as_0d(value):
+    v = int(value)
+    return np.array(v, dtype=np.int64 if -(2**63) <= v < 2**63 else np.uint64)
+
+
+DRAWS = [draw_u64, draw_unit, draw_unit_open, draw_normal]
+SCALAR_TYPE = {draw_u64: np.uint64, draw_unit: np.float64,
+               draw_unit_open: np.float64, draw_normal: np.float64}
+
+
+class TestScalarPath:
+    @given(seed=integer_scalars(), counter=integer_scalars())
+    def test_array_path_matches_reference(self, seed, counter):
+        assert bits(draw_u64(as_array(seed), as_array(counter))) == bits(
+            reference_u64(seed, counter)
+        )
+
+    @pytest.mark.parametrize("fn", DRAWS, ids=lambda f: f.__name__)
+    @given(seed=integer_scalars(), counter=integer_scalars())
+    def test_every_input_mix_gives_the_array_bits(self, fn, seed, counter):
+        want = fn(as_array(seed), as_array(counter))
+        assert isinstance(want, np.ndarray) and want.shape == (1,)
+        scalar = fn(seed, counter)
+        assert type(scalar) is SCALAR_TYPE[fn]
+        assert bits(scalar) == bits(want)
+        for args in ((seed, as_array(counter)), (as_array(seed), counter),
+                     (as_0d(seed), as_array(counter)), (as_array(seed), as_0d(counter))):
+            got = fn(*args)
+            assert isinstance(got, np.ndarray) and got.shape == (1,)
+            assert bits(got) == bits(want)
+        for args in ((as_0d(seed), counter), (seed, as_0d(counter)),
+                     (as_0d(seed), as_0d(counter))):
+            got = fn(*args)
+            assert type(got) is SCALAR_TYPE[fn]
+            assert bits(got) == bits(want)
+
+    @given(value=integer_scalars())
+    def test_mix64(self, value):
+        want = mix64(as_array(value))
+        assert isinstance(want, np.ndarray)
+        for arg in (value, as_0d(value)):
+            got = mix64(arg)
+            assert type(got) is np.uint64
+            assert bits(got) == bits(want)
+
+    @given(master=integer_scalars(), tag=st.text(max_size=12))
+    def test_substream(self, master, tag):
+        want = mix64(as_array(master) ^ np.uint64(fnv1a64(tag)))
+        for arg in (master, as_0d(master)):
+            got = substream(arg, tag)
+            assert type(got) is int
+            assert bits(np.uint64(got)) == bits(want)
+
+    def test_scalar_counter_with_seed_array_does_not_warn(self):
+        # the step (counter + 1) * GOLDEN overflows; as a numpy scalar product
+        # it would warn, so it is taken in Python ints
+        seeds = draw_u64(3, np.arange(4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for counter in (2**63 - 1, -(2**63), 2**64 - 1, 10**6):
+                row = draw_unit(seeds, counter)
+                assert bits(row) == bits(
+                    [draw_unit(int(s), counter) for s in seeds]
+                )
+                draw_normal(seeds, counter)
+                draw_unit(np.array(7), np.array(counter % 2**64, dtype=np.uint64))
