@@ -236,6 +236,14 @@ def _diagnose_rotation(args) -> list[StatReport]:
 
 
 def _diagnose_conditional_law(args) -> list[StatReport]:
+    lo, hi = args.window_lo, args.window_hi
+    # the shift by 1 moves the window to [lo - 1, hi - 1], which must still
+    # hold both rectangles, the last at lo + 2
+    if hi - lo < 3:
+        raise ValueError(
+            f"conditional-law needs window_hi - window_lo >= 3 for its shifted "
+            f"rectangles at indices {lo + 1} and {lo + 2}, got window [{lo}, {hi}]"
+        )
     config = _config(args)
     reports = [conditional_law_demo(args.rho, args.a, config)]
     # the shift comparison needs many replicas, not a huge per-replica ensemble
@@ -245,7 +253,6 @@ def _diagnose_conditional_law(args) -> list[StatReport]:
     def shifted(r: int):
         return shift_measure(sampler(r), 1)
 
-    lo = config.window[0]
     # intervals sized for standard-normal values
     deltas = [
         CylinderSet(start=lo + 1, intervals=((-0.5, 0.5),)),
@@ -268,8 +275,13 @@ def _diagnose_conditional_law(args) -> list[StatReport]:
 def _diagnose_consistency(args) -> list[StatReport]:
     if args.pairs < 1:
         raise ValueError("pairs must be at least 1")
+    lo, hi = args.window_lo, args.window_hi
+    if hi - lo < 2:
+        raise ValueError(
+            f"consistency needs window_hi - window_lo >= 2 to split its noise into "
+            f"past and future, got window [{lo}, {hi}]"
+        )
     builder = _builder(args)
-    lo, hi = builder.window
     split = (lo + hi) // 2
     past_root = substream(args.seed, "consistency-past")
     future_root = substream(args.seed, "consistency-future")

@@ -8,9 +8,9 @@ and the checks that make them a measure-valued solution:
   window and relabeling of the noise, with initializer seeds matched.
 
 The construction freezes one noise window and runs an ensemble of
-independently initialized trajectories through it; the uniform-weight
-ensemble is one realization of the conditional law of the trajectory given
-the noise.
+independently initialized trajectories through it; the uniform ensemble
+is one realization of the conditional law of the trajectory given the
+noise.
 """
 
 from dataclasses import dataclass, replace
@@ -119,7 +119,7 @@ def conditional_measure(builder: MeasureBuilder, noise: Window) -> ParticleMeasu
     splitmix64 child seed per particle index) at the window start and
     advances all of them through the same noise values.  Every particle
     satisfies the one-step recurrence exactly along the window; the result
-    is the uniform-weight ensemble.
+    is the uniform ensemble.
     """
     lo, hi = builder.window
     if not noise.covers_range(lo + 1, hi):
@@ -136,9 +136,7 @@ def conditional_measure(builder: MeasureBuilder, noise: Window) -> ParticleMeasu
     return ParticleMeasure.from_matrix(lo, columns)
 
 
-def conditional_measure_sampler(
-    builder: MeasureBuilder, noise_seed: int, law: str = "uniform"
-) -> MeasureSampler:
+def conditional_measure_sampler(builder: MeasureBuilder, noise_seed: int) -> MeasureSampler:
     """Seeded sampler of measure realizations over fresh noise windows.
 
     Replica ``r`` freezes the noise window drawn from the ``r``-th child of
@@ -147,7 +145,7 @@ def conditional_measure_sampler(
     function of its noise alone.
     """
     lo, hi = builder.window
-    model = NoiseModel(law=law, seed=noise_seed)
+    model = NoiseModel(seed=noise_seed)
 
     def sample(replica: int) -> ParticleMeasure:
         return conditional_measure(builder, model.substream(replica).window(lo + 1, hi - lo))
@@ -211,15 +209,15 @@ def hopf_rhs(
 def _char_integral(mu: ParticleMeasure, phases: np.ndarray) -> complex:
     """``integrate(mu, np.exp(1j * phases))``, bit for bit, in one buffer.
 
-    The exponential and the weighting run in place in the complex array,
-    so a probe side holds one complex array besides its real phases.
+    The exponential and the scaling by ``1 / P`` run in place in the complex
+    array, so a probe side holds one complex array besides its real phases.
     Separate temporaries would let each probe on a large ensemble grow the
     heap past glibc's trim threshold, and every probe would then fault in
     fresh pages (about 1,500 per probe at 200,000 particles).
     """
     values = 1j * phases
     np.exp(values, out=values)
-    return complex(np.multiply(mu.weights, values, out=values).sum())
+    return complex(np.multiply(1.0 / mu.particle_count, values, out=values).sum())
 
 
 def hopf_residual(
@@ -312,7 +310,7 @@ def perturb_last_coordinate(mu: ParticleMeasure, seed: int) -> ParticleMeasure:
     values = mu.values.copy(order="F")
     values[:, -1] = values[order, -1]
     values.setflags(write=False)
-    return ParticleMeasure.from_matrix(mu.offset, values, mu.weights)
+    return ParticleMeasure.from_matrix(mu.offset, values)
 
 
 def consistency_check(

@@ -1,5 +1,5 @@
 """One realization of a random measure on sequence space, represented as a
-weighted particle ensemble over a common index window.
+uniform particle ensemble over a common index window.
 
 The module provides integration of bounded functions, probabilities of
 cylinder rectangles, translation of measures, and a statistical test for
@@ -33,55 +33,37 @@ __all__ = [
     "ks_one_sample_threshold",
 ]
 
-_WEIGHT_TOL = 1e-12
-
 #: A seeded generator of measure realizations: replica index -> measure.
 MeasureSampler = Callable[[int], "ParticleMeasure"]
 
 
 class ParticleMeasure:
-    """A probability measure carried by weighted particles on one window.
+    """A probability measure carried by equally likely particles on one window.
 
-    All particles share the same offset and length.  Values are finite;
-    weights are finite, nonnegative and sum to one (within 1e-12).
-    Instances are immutable; the backing arrays are marked read-only and
-    may be shared between measures.  Build them with :meth:`from_matrix`.
+    All particles share the same offset and length, and each carries mass
+    ``1 / particle_count``.  Values are finite.  Instances are immutable;
+    the backing array is marked read-only and may be shared between
+    measures.  Build them with :meth:`from_matrix`.
     """
 
-    __slots__ = ("offset", "values", "weights")
+    __slots__ = ("offset", "values")
 
     @classmethod
-    def from_matrix(
-        cls, offset: int, values: np.ndarray, weights: np.ndarray | None = None
-    ) -> "ParticleMeasure":
+    def from_matrix(cls, offset: int, values: np.ndarray) -> "ParticleMeasure":
         """Build a measure from an ``(n_particles, window_len)`` value matrix.
 
-        ``weights=None`` means the uniform ensemble.  A writable matrix is
-        copied column-major, so each coordinate's particle values are
-        contiguous for the column reads of probes and rectangles; a
-        read-only matrix is shared as it is.
+        A writable matrix is copied column-major, so each coordinate's
+        particle values are contiguous for the column reads of probes and
+        rectangles; a read-only matrix is shared as it is.
         """
         values = frozen_array(values)
         if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
             raise ValueError("values must be a nonempty 2-d matrix")
         if not np.isfinite(values).all():
             raise ValueError("particle values must be finite")
-        if weights is None:
-            weights = np.full(values.shape[0], 1.0 / values.shape[0])
-        weights = frozen_array(weights)
-        if weights.shape != (values.shape[0],):
-            raise ValueError("weights must match the particle count")
-        if not np.isfinite(weights).all():
-            raise ValueError("weights must be finite")
-        if np.any(weights < 0.0):
-            raise ValueError("weights must be nonnegative")
-        total = float(np.sum(weights))
-        if abs(total - 1.0) > _WEIGHT_TOL:
-            raise ValueError(f"weights must sum to 1 within {_WEIGHT_TOL}, got {total!r}")
         self = cls.__new__(cls)
         object.__setattr__(self, "offset", int(offset))
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "weights", weights)
         return self
 
     def __setattr__(self, name, value):
@@ -188,22 +170,23 @@ class StatReport:
 
 
 def integrate(mu: ParticleMeasure, values: np.ndarray):
-    """Integral of a function of the trajectory: ``sum_j w_j values[j]``.
+    """Integral of a function of the trajectory: ``sum_j (1/P) * values[j]``.
 
-    ``values`` holds the function's value on each particle, one entry per
-    particle (for example a function of :meth:`ParticleMeasure.column`).
-    Returns a numpy scalar of the values' type (float or complex).
+    ``values`` holds the function's value on each of the ``P`` particles
+    (for example a function of :meth:`ParticleMeasure.column`), so the
+    integral is their uniform average.  Returns a numpy scalar of the
+    values' type (float or complex).
     """
     values = np.asarray(values)
-    if values.shape != mu.weights.shape:
+    if values.shape != (mu.particle_count,):
         raise ValueError(
-            f"expected one value per particle {mu.weights.shape}, got shape {values.shape}"
+            f"expected one value per particle ({mu.particle_count},), got shape {values.shape}"
         )
-    return (mu.weights * values).sum()
+    return ((1.0 / mu.particle_count) * values).sum()
 
 
 def cylinder_prob(mu: ParticleMeasure, delta: CylinderSet) -> float:
-    """Measure of the rectangle: weighted fraction of particles inside it."""
+    """Measure of the rectangle: the fraction of particles inside it."""
     block = mu.column_block(delta.start, delta.last_index)
     (a, b), *rest = delta.intervals
     inside = (block[:, 0] >= a) & (block[:, 0] < b)
@@ -220,14 +203,12 @@ def shift_measure(mu: ParticleMeasure, t: int) -> ParticleMeasure:
     :func:`~stochrec.path_space.shift_path`; the value matrix is shared, only
     the offset moves.
     """
-    return ParticleMeasure.from_matrix(mu.offset - t, mu.values, mu.weights)
+    return ParticleMeasure.from_matrix(mu.offset - t, mu.values)
 
 
 def measures_allclose(a: ParticleMeasure, b: ParticleMeasure, atol: float = 0.0) -> bool:
     """Coordinate-wise comparison of two ensembles on the same window."""
     if a.offset != b.offset or a.values.shape != b.values.shape:
-        return False
-    if not np.array_equal(a.weights, b.weights):
         return False
     if atol == 0.0:
         return bool(np.array_equal(a.values, b.values))

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from stochrec import cli
 from stochrec.cli import _write_json, main
 
 
@@ -344,6 +345,34 @@ class TestBadInput:
         assert code == 2
         assert not out.exists()
         assert "vacuous" in capsys.readouterr().err
+
+    def test_consistency_window_too_short_exit_2(self, tmp_path, capsys):
+        # a window of one step leaves no index to split past from future at
+        out = tmp_path / "c.json"
+        code = main(["diagnose", "consistency", "--window-hi", "1", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert "got window [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("window_hi", ["1", "2"])
+    def test_conditional_law_window_too_short_exit_2(
+        self, tmp_path, capsys, monkeypatch, window_hi
+    ):
+        # the shifted rectangles need three steps; refuse before the demo runs
+        demo_calls = []
+        demo = cli.conditional_law_demo
+        monkeypatch.setattr(
+            cli, "conditional_law_demo", lambda *a, **k: demo_calls.append(a) or demo(*a, **k)
+        )
+        out = tmp_path / "cl.json"
+        code = main(
+            ["diagnose", "conditional-law", "--window-hi", window_hi, "--n", "100",
+             "--particles", "100", "--out", str(out)]
+        )
+        assert code == 2
+        assert not out.exists()
+        assert f"got window [0, {window_hi}]" in capsys.readouterr().err
+        assert demo_calls == []
 
     def test_out_of_memory_exit_2(self, tmp_path, capsys):
         # the particle array alone would take petabytes; numpy refuses the

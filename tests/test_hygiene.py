@@ -1,0 +1,76 @@
+"""Source hygiene of ``src/stochrec``: no module keeps an import it never
+uses, and no module-level private name is left that nothing references.
+Both are the leftovers a deletion tends to leave behind.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "stochrec"
+MODULES = sorted(SRC.glob("*.py"))
+TREES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+
+
+def exported(tree: ast.Module) -> set[str]:
+    """The string entries of a module-level ``__all__`` list or tuple."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return set()
+
+
+def loaded(tree: ast.Module) -> set[str]:
+    """Names the module reads, as bare names or as attributes."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def imported(tree: ast.Module) -> set[str]:
+    """Names bound by the module's import statements."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names.add(alias.asname or alias.name.split(".")[0])
+    return names
+
+
+def private_definitions(tree: ast.Module) -> set[str]:
+    """Module-level ``_name`` functions, classes and assignments (not dunders)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_no_unused_import(name):
+    tree = TREES[name]
+    unused = imported(tree) - loaded(tree) - exported(tree)
+    assert not unused, f"{name} imports {sorted(unused)} and never uses them"
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_no_unreferenced_private_name(name):
+    # a private name may be read by a sibling module, so every module's reads count
+    read_anywhere = set().union(*(loaded(t) for t in TREES.values()))
+    unreferenced = private_definitions(TREES[name]) - read_anywhere
+    assert not unreferenced, f"{name} defines {sorted(unreferenced)} and nothing reads them"
+
+
+def test_scan_sees_every_module():
+    assert {"random_measure.py", "measure_solution.py", "cli.py"} <= set(TREES)

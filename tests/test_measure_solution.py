@@ -148,7 +148,7 @@ class TestConditionalMeasure:
     def test_single_particle_point_mass(self):
         mu = conditional_measure(make_builder(particles=1), make_noise())
         assert mu.particle_count == 1
-        assert mu.weights[0] == 1.0
+        assert integrate(mu, mu.column(3)) == mu.values[0, 3]
 
     def test_recursion_holds_exactly(self):
         builder = make_builder()
@@ -205,14 +205,14 @@ class TestHopfFunctionals:
 
     def test_lhs_point_mass_formula(self):
         values = np.asarray([[0.1, 0.4, 0.7, 0.2]])
-        mu = ParticleMeasure.from_matrix(0, values, None)
+        mu = ParticleMeasure.from_matrix(0, values)
         spec = CharSpec(n=0, m=2, lambdas=(1.5, -0.5), rho=2.0)
         expected = cmath.exp(1j * (1.5 * 0.4 - 0.5 * 0.7 + 2.0 * 0.2))
         assert hopf_lhs(mu, spec) == pytest.approx(expected, abs=1e-12)
 
     def test_lhs_two_particle_mean(self):
         values = np.asarray([[0.1, 0.4], [0.9, 0.3]])
-        mu = ParticleMeasure.from_matrix(0, values, None)
+        mu = ParticleMeasure.from_matrix(0, values)
         spec = CharSpec(n=-1, m=1, lambdas=(2.0,), rho=-1.0)
         expected = 0.5 * (
             cmath.exp(1j * (2.0 * 0.1 - 0.4)) + cmath.exp(1j * (2.0 * 0.9 - 0.3))
@@ -232,7 +232,7 @@ class TestHopfFunctionals:
 
     def test_rhs_point_mass(self):
         values = np.asarray([[0.1, 0.4, 0.7]])
-        mu = ParticleMeasure.from_matrix(0, values, None)
+        mu = ParticleMeasure.from_matrix(0, values)
         noise = Window(offset=1, values=(0.25, 0.5))
         fm = fractional_map()
         spec = CharSpec(n=0, m=1, lambdas=(1.0,), rho=3.0)
@@ -278,18 +278,24 @@ class TestHopfResidual:
         assert np.array_equal(pert.column_block(0, 9), mu.column_block(0, 9))
 
 
+def reference_integrate(mu, values):
+    # the sum against an explicit array of uniform weights 1/P
+    weights = np.full(mu.particle_count, 1.0 / mu.particle_count)
+    return np.sum(weights * values)
+
+
 def row_sum_lhs(mu, spec):
     # the row reduction over a C-ordered block that the probes used before the fold
     block = np.ascontiguousarray(mu.column_block(spec.n + 1, spec.n + spec.m + 1))
     phases = (block * np.asarray(spec.lambdas + (spec.rho,))).sum(axis=1)
-    return complex(integrate(mu, np.exp(1j * phases)))
+    return complex(reference_integrate(mu, np.exp(1j * phases)))
 
 
 def row_sum_rhs(mu, noise, spec, update_map):
     block = np.ascontiguousarray(mu.column_block(spec.n + 1, spec.n + spec.m))
     phases = (block * np.asarray(spec.lambdas)).sum(axis=1)
     stepped = update_map.apply(block[:, -1], noise.coordinate(spec.n + spec.m + 1))
-    return complex(integrate(mu, np.exp(1j * (phases + spec.rho * stepped))))
+    return complex(reference_integrate(mu, np.exp(1j * (phases + spec.rho * stepped))))
 
 
 def bits(*values):
@@ -315,10 +321,9 @@ class TestPhaseFold:
         extra_specs=st.integers(0, 12),
         layout=st.sampled_from(["C", "F"]),
         perturbed=st.booleans(),
-        weighted=st.booleans(),
     )
     def test_equals_row_sum_bit_for_bit(
-        self, particles, length, update_map, seed, extra_specs, layout, perturbed, weighted
+        self, particles, length, update_map, seed, extra_specs, layout, perturbed
     ):
         # every probe the CLI generates (orders <= 4) keeps its old bits
         window = (-1, length - 2)
@@ -333,11 +338,7 @@ class TestPhaseFold:
         if perturbed:
             mu = perturb_last_coordinate(mu, seed)
         values = read_only(np.array(mu.values, order=layout))
-        weights = None
-        if weighted:
-            weights = 0.01 + NoiseModel(seed=substream(seed, "w")).window(0, particles).values
-            weights = weights / weights.sum()
-        mu = ParticleMeasure.from_matrix(mu.offset, values, weights)
+        mu = ParticleMeasure.from_matrix(mu.offset, values)
         assert mu.values is values
         specs = char_spec_grid(window) + random_char_specs(window, extra_specs, seed)
         for spec in specs:

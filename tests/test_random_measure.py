@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stochrec.errors import CoverageError
+from stochrec.measure_solution import perturb_last_coordinate
 from stochrec.random_measure import (
     CylinderSet,
     ParticleMeasure,
@@ -22,49 +23,35 @@ from stochrec.random_measure import (
 
 def two_particle_measure(u0_values=(0.2, 0.8), offset=0, length=1):
     rows = [[v] * length for v in u0_values]
-    return ParticleMeasure.from_matrix(offset, np.asarray(rows), None)
+    return ParticleMeasure.from_matrix(offset, np.asarray(rows))
 
 
 class TestParticleMeasure:
     def test_requires_particles(self):
         with pytest.raises(ValueError):
-            ParticleMeasure.from_matrix(0, np.empty((0, 1)), np.empty(0))
-
-    def test_weight_normalization_enforced(self):
-        rows = np.ones((2, 1))
-        with pytest.raises(ValueError):
-            ParticleMeasure.from_matrix(0, rows, [0.5, 0.6])
-        with pytest.raises(ValueError):
-            ParticleMeasure.from_matrix(0, rows, [1.5, -0.5])
+            ParticleMeasure.from_matrix(0, np.empty((0, 1)))
 
     def test_mismatched_windows_rejected(self):
         # rows of different lengths cannot share one window
         with pytest.raises(ValueError):
-            ParticleMeasure.from_matrix(0, [[1.0, 2.0], [1.0]], [0.5, 0.5])
+            ParticleMeasure.from_matrix(0, [[1.0, 2.0], [1.0]])
         with pytest.raises(ValueError):
-            ParticleMeasure.from_matrix(0, np.array([1.0, 2.0]), [0.5, 0.5])
+            ParticleMeasure.from_matrix(0, np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
-            ParticleMeasure.from_matrix(0, np.ones((2, 2)), [1.0])
+            ParticleMeasure.from_matrix(0, np.ones((2, 0)))
 
     def test_particles_round_trip(self):
         rows = np.array([[1.0, 2.0], [3.0, 4.0]])
-        mu = ParticleMeasure.from_matrix(2, rows, [0.25, 0.75])
+        mu = ParticleMeasure.from_matrix(2, rows)
         assert np.array_equal(mu.values, rows)
-        assert mu.weights.tolist() == [0.25, 0.75]
+        assert mu.particle_count == 2
         assert mu.offset == 2 and mu.window_length == 2
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_values_rejected(self, bad):
         rows = np.array([[0.1, 0.2], [0.3, bad]])
         with pytest.raises(ValueError, match="finite"):
-            ParticleMeasure.from_matrix(0, rows, None)
-
-    def test_nan_weights_rejected(self):
-        # abs(nan - 1) > tol is False, so a sum check alone lets NaN through
-        with pytest.raises(ValueError, match="finite"):
-            ParticleMeasure.from_matrix(0, np.ones((2, 1)), [np.nan, 1.0])
-        with pytest.raises(ValueError, match="finite"):
-            ParticleMeasure.from_matrix(0, np.ones((2, 1)), [np.nan, np.nan])
+            ParticleMeasure.from_matrix(0, rows)
 
     def test_immutable(self):
         mu = two_particle_measure()
@@ -74,12 +61,10 @@ class TestParticleMeasure:
             mu.values[0, 0] = 9.0
 
     def test_caller_arrays_not_captured(self):
-        w = np.array([0.5, 0.5])
         v = np.array([[0.1], [0.9]])
-        mu = ParticleMeasure.from_matrix(0, v, w)
-        w[0] = 0.9
+        mu = ParticleMeasure.from_matrix(0, v)
         v[0, 0] = 5.0
-        assert mu.weights[0] == 0.5 and mu.values[0, 0] == 0.1
+        assert mu.values[0, 0] == 0.1
 
 
 class TestIntegrate:
@@ -88,7 +73,7 @@ class TestIntegrate:
         assert integrate(mu, np.ones(mu.particle_count)) == pytest.approx(1.0, abs=1e-12)
 
     def test_point_mass(self):
-        mu = ParticleMeasure.from_matrix(0, [[0.3, 0.6]], [1.0])
+        mu = ParticleMeasure.from_matrix(0, [[0.3, 0.6]])
         assert integrate(mu, mu.column(1) ** 2) == pytest.approx(0.36)
 
     def test_indicator_average(self):
@@ -105,10 +90,8 @@ class TestIntegrate:
         rng = np.random.default_rng(7)
         for _ in range(50):
             n = rng.integers(1, 20)
-            w = rng.random(n) + 1e-3
-            w = w / w.sum()
             vals = rng.normal(size=(n, 3))
-            mu = ParticleMeasure.from_matrix(0, vals, w)
+            mu = ParticleMeasure.from_matrix(0, vals)
             phase = rng.normal(size=3)
             f = [cmath.exp(1j * sum(c * v for c, v in zip(phase, row))) for row in mu.values]
             assert abs(integrate(mu, f)) <= 1.0 + 1e-12
@@ -141,7 +124,7 @@ class TestCylinderProb:
     def test_additive_over_tilings(self):
         rng = np.random.default_rng(11)
         vals = rng.random((64, 3))
-        mu = ParticleMeasure.from_matrix(0, vals, None)
+        mu = ParticleMeasure.from_matrix(0, vals)
         for _ in range(100):
             a, b = sorted(rng.random(2))
             c = rng.uniform(a, b)
@@ -158,7 +141,7 @@ class TestCylinderProb:
 
     def test_monotone_in_each_interval(self):
         rng = np.random.default_rng(13)
-        mu = ParticleMeasure.from_matrix(0, rng.random((64, 2)), None)
+        mu = ParticleMeasure.from_matrix(0, rng.random((64, 2)))
         for _ in range(50):
             a, b = sorted(rng.random(2))
             small = cylinder_prob(mu, CylinderSet(0, ((a, b), (0.2, 0.8))))
@@ -167,8 +150,9 @@ class TestCylinderProb:
 
 
 def reference_integrate(mu, values):
-    # the weighted sum as np.sum computed it
-    return np.sum(mu.weights * np.asarray(values))
+    # the sum against an explicit array of uniform weights 1/P
+    weights = np.full(mu.particle_count, 1.0 / mu.particle_count)
+    return np.sum(weights * np.asarray(values))
 
 
 def reference_cylinder_prob(mu, delta):
@@ -190,18 +174,18 @@ def bits(*values):
 
 @st.composite
 def random_measures(draw):
-    """A NaN-free particle measure, C- or F-ordered, uniform or weighted."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    """A NaN-free particle measure, C- or F-ordered, plain or perturbed."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
     particles, length = draw(st.integers(1, 300)), draw(st.integers(3, 8))
     # rounded values land exactly on interval edges now and then
     values = np.round(2.0 * rng.random((particles, length)) - 0.5, draw(st.integers(1, 6)))
     values = np.array(values, order=draw(st.sampled_from(["C", "F"])))
-    weights = None
+    values.setflags(write=False)  # shared as is, so the drawn layout is kept
+    mu = ParticleMeasure.from_matrix(draw(st.integers(-5, 5)), values)
     if draw(st.booleans()):
-        weights = rng.random(particles) + 1e-3
-        weights /= weights.sum()
-    offset = draw(st.integers(-5, 5))
-    return ParticleMeasure.from_matrix(offset, values, weights), rng
+        mu = perturb_last_coordinate(mu, seed)
+    return mu, rng
 
 
 edge = st.sampled_from([-0.5, 0.0, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5])
@@ -245,20 +229,18 @@ class TestShiftMeasure:
         # particles hold u_1 in {0.2, 0.8}; after shifting by 1 the same
         # values are read at index 0
         rows = np.asarray([[0.9, 0.2], [0.1, 0.8]])
-        mu = ParticleMeasure.from_matrix(0, rows, None)
+        mu = ParticleMeasure.from_matrix(0, rows)
         shifted = shift_measure(mu, 1)
         delta0 = CylinderSet(0, ((0.0, 0.5),))
         delta1 = CylinderSet(1, ((0.0, 0.5),))
         assert cylinder_prob(shifted, delta0) == pytest.approx(0.5)
         assert cylinder_prob(shifted, delta0) == cylinder_prob(mu, delta1)
 
-    def test_weights_and_integrals_preserved(self):
+    def test_values_and_integrals_preserved(self):
         rng = np.random.default_rng(3)
-        w = rng.random(10)
-        w /= w.sum()
-        mu = ParticleMeasure.from_matrix(0, rng.random((10, 4)), w)
+        mu = ParticleMeasure.from_matrix(0, rng.random((10, 4)))
         shifted = shift_measure(mu, 2)
-        assert np.array_equal(shifted.weights, mu.weights)
+        assert shifted.values is mu.values
         # f(u) = 2 u_{-2} + 1 on the shifted measure reads u_0 of the original
         assert integrate(shifted, shifted.column(-2) * 2.0 + 1.0) == integrate(
             mu, mu.column(0) * 2.0 + 1.0
@@ -289,14 +271,14 @@ class TestStatReport:
 class TestDistributionsEqual:
     @staticmethod
     def constant_sampler(level: float):
-        mu = ParticleMeasure.from_matrix(0, np.full((4, 2), level), None)
+        mu = ParticleMeasure.from_matrix(0, np.full((4, 2), level))
         return lambda r: mu
 
     def test_identical_seeds_trivially_pass(self):
         rng_rows = np.random.default_rng(5).random((8, 2))
 
         def sampler(r):
-            return ParticleMeasure.from_matrix(0, rng_rows + (r % 7) * 0.01, None)
+            return ParticleMeasure.from_matrix(0, rng_rows + (r % 7) * 0.01)
 
         deltas = [CylinderSet(0, ((0.0, 0.5),)), CylinderSet(1, ((0.2, 0.7),))]
         report = distributions_equal(sampler, sampler, deltas, 120, 0.01)
