@@ -57,7 +57,6 @@ from .random_measure import (
     ks_one_sample_threshold,
     ks_two_sample_threshold,
     measures_allclose,
-    shift_measure,
 )
 from .recurrence import (
     NoiseModel,
@@ -114,7 +113,6 @@ __all__ = [
     "rotation_flow",
     "rotation_invariance_demo",
     "shift_equivariance_check",
-    "shift_measure",
     "shift_path",
     "stationarity_suite",
     "stationary_sampler",

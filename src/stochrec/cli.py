@@ -40,8 +40,8 @@ from .measure_solution import (
     shift_equivariance_check,
     consistency_check,
 )
-from .path_space import Window
-from .random_measure import CylinderSet, StatReport, shift_measure
+from .path_space import Window, shift_path
+from .random_measure import CylinderSet, StatReport
 from .recurrence import NoiseModel, advance, update_map_from_name
 from .seeds import PRNG_NAME, draw_u64, draw_unit, substream
 
@@ -251,7 +251,7 @@ def _diagnose_conditional_law(args) -> list[StatReport]:
     sampler = gaussian_pair_sampler(args.rho, args.a, shift_config)
 
     def shifted(r: int):
-        return shift_measure(sampler(r), 1)
+        return shift_path(sampler(r), 1)
 
     # intervals sized for standard-normal values
     deltas = [

@@ -24,6 +24,7 @@ import numpy as np
 from . import _ks as _sps  # perfbench/spans.py traces KS calls through this name
 from .errors import CoverageError
 from .measure_solution import MeasureBuilder, conditional_measure_sampler
+from .path_space import shift_path
 from .random_measure import (
     CylinderSet,
     MeasureSampler,
@@ -31,10 +32,9 @@ from .random_measure import (
     StatReport,
     distributions_equal,
     ks_one_sample_threshold,
-    shift_measure,
 )
 from .recurrence import UpdateMap, advance, fractional_map
-from .seeds import draw_normal, draw_u64, draw_unit, substream
+from .seeds import counter_range, draw_normal, draw_u64, draw_unit, substream
 
 __all__ = [
     "RotationState",
@@ -273,7 +273,7 @@ def stationarity_suite(
         )
 
         def shifted(r: int, _base: MeasureSampler = base_b, _t: int = t) -> ParticleMeasure:
-            return shift_measure(_base(r), _t)
+            return shift_path(_base(r), _t)
 
         reports.append(
             distributions_equal(
@@ -332,7 +332,8 @@ def _stationary_gaussian_path(a: float, seed: int, lo: int, hi: int) -> np.ndarr
     y[0] = y0 = float(draw_normal(substream(seed, "pair-y0"), 0))
     scale = math.sqrt(1.0 - a * a)
     # one array draw over counters lo+1..hi equals the per-counter draws
-    innovations = scale * draw_normal(substream(seed, "pair-innov"), np.arange(lo + 1, hi + 1))
+    counters = counter_range(lo + 1, hi - lo)
+    innovations = scale * draw_normal(substream(seed, "pair-innov"), counters)
     advance(lambda x, e: a * x + e, y0, innovations.tolist(), out=y[1:])
     return y
 
@@ -423,6 +424,6 @@ def gaussian_pair_sampler(rho: float, a: float, config: DiagnosticsConfig) -> Me
         eps = draw_normal(
             int(draw_u64(eps_root, replica)), np.arange(config.particle_count * length)
         ).reshape(config.particle_count, length)
-        return ParticleMeasure.from_matrix(lo, rho * y[None, :] + sigma * eps)
+        return ParticleMeasure(lo, rho * y[None, :] + sigma * eps)
 
     return sample

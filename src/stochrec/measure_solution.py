@@ -20,12 +20,7 @@ import numpy as np
 
 from .errors import CoverageError
 from .path_space import Window, shift_path
-from .random_measure import (
-    MeasureSampler,
-    ParticleMeasure,
-    measures_allclose,
-    shift_measure,
-)
+from .random_measure import MeasureSampler, ParticleMeasure, measures_allclose
 from .recurrence import NoiseModel, UpdateMap, advance
 from .seeds import draw_u64, draw_unit, substream
 
@@ -122,18 +117,13 @@ def conditional_measure(builder: MeasureBuilder, noise: Window) -> ParticleMeasu
     is the uniform ensemble.
     """
     lo, hi = builder.window
-    if not noise.covers_range(lo + 1, hi):
-        raise CoverageError(
-            f"noise [{noise.first_index}, {noise.last_index}] does not cover "
-            f"transitions [{lo + 1}, {hi}]"
-        )
+    steps = noise.span(lo + 1, hi)
     etas = builder.initializers
     columns = np.empty((builder.particle_count, hi - lo + 1), order="F")
     columns[:, 0] = etas
-    steps = noise.values[lo + 1 - noise.offset : hi + 1 - noise.offset]
     advance(builder.update_map.apply, etas, steps, out=columns[:, 1:])
     columns.setflags(write=False)
-    return ParticleMeasure.from_matrix(lo, columns)
+    return ParticleMeasure(lo, columns)
 
 
 def conditional_measure_sampler(builder: MeasureBuilder, noise_seed: int) -> MeasureSampler:
@@ -151,16 +141,6 @@ def conditional_measure_sampler(builder: MeasureBuilder, noise_seed: int) -> Mea
         return conditional_measure(builder, model.substream(replica).window(lo + 1, hi - lo))
 
     return sample
-
-
-def _probe_columns(mu: ParticleMeasure, spec: CharSpec, last: int) -> np.ndarray:
-    first = spec.n + 1
-    if not mu.covers_range(first, last):
-        raise CoverageError(
-            f"probe indices [{first}, {last}] outside measure window "
-            f"[{mu.first_index}, {mu.last_index}]"
-        )
-    return mu.column_block(first, last)
 
 
 def _phases(block: np.ndarray, freqs) -> np.ndarray:
@@ -186,7 +166,7 @@ def hopf_lhs(mu: ParticleMeasure, spec: CharSpec) -> complex:
     ``+0.0``: ``((0 + lambda_1 u_{n+1}) + ...) + rho u_{n+m+1}``, in
     coordinate order; :func:`hopf_rhs` folds its phases the same way.
     """
-    block = _probe_columns(mu, spec, spec.n + spec.m + 1)
+    block = mu.span(spec.n + 1, spec.n + spec.m + 1)
     return _char_integral(mu, _phases(block, spec.lambdas + (spec.rho,)))
 
 
@@ -198,7 +178,7 @@ def hopf_rhs(
     ``integral of exp(i sum_k lambda_k u_{n+k}) * exp(i rho apply(u_{n+m},
     xi_{n+m+1}))``; the noise value enters alongside the measure.
     """
-    block = _probe_columns(mu, spec, spec.n + spec.m)
+    block = mu.span(spec.n + 1, spec.n + spec.m)
     stepped = update_map.apply(block[:, -1], noise.coordinate(spec.n + spec.m + 1))
     phases = _phases(block, spec.lambdas)
     phases += spec.rho * stepped
@@ -310,7 +290,7 @@ def perturb_last_coordinate(mu: ParticleMeasure, seed: int) -> ParticleMeasure:
     values = mu.values.copy(order="F")
     values[:, -1] = values[order, -1]
     values.setflags(write=False)
-    return ParticleMeasure.from_matrix(mu.offset, values)
+    return ParticleMeasure(mu.offset, values)
 
 
 def consistency_check(
@@ -332,9 +312,7 @@ def consistency_check(
     if n < lo:
         return True
     cut = min(n, hi)
-    return bool(
-        np.array_equal(mu_a.column_block(lo, cut), mu_b.column_block(lo, cut))
-    )
+    return bool(np.array_equal(mu_a.span(lo, cut), mu_b.span(lo, cut)))
 
 
 def shift_equivariance_check(
@@ -349,6 +327,6 @@ def shift_equivariance_check(
     is expected at the bit level; mismatched initializer seeds break it,
     which is the almost-sure (not sure) nature of the identity.
     """
-    lhs = shift_measure(conditional_measure(builder, noise), -t)
+    lhs = shift_path(conditional_measure(builder, noise), -t)
     rhs = conditional_measure(builder.translated(t), shift_path(noise, -t))
     return measures_allclose(lhs, rhs, atol)

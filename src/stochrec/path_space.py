@@ -2,11 +2,13 @@
 summed-and-damped sup metric on sampled functions.
 
 A window stores a finite stretch of a bi-infinite real sequence (a path of
-states or the driving noise) together with the absolute index of its first
-entry, so the coordinate at absolute index ``i`` is ``values[i - offset]``.
+states, the driving noise, or one path per particle) together with the
+absolute index of its first entry, so the coordinate at absolute index ``i``
+is ``values[..., i - offset]``.  :meth:`Window.span` is the one checked
+slice by absolute index.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -23,38 +25,31 @@ __all__ = [
 ]
 
 
-def frozen_array(values) -> np.ndarray:
-    """``values`` as a read-only float64 array.
-
-    Arrays that are already read-only are shared; anything writable is
-    copied first, so a caller's array is never frozen or captured.  Copies
-    are column-major, the layout of particle matrices (see
-    :meth:`~stochrec.random_measure.ParticleMeasure.from_matrix`).
-    """
-    array = np.asarray(values, dtype=np.float64)
-    if array.flags.writeable:
-        array = array.copy(order="F")
-        array.setflags(write=False)
-    return array
-
-
 @dataclass(frozen=True, eq=False)
 class Window:
     """A finite window of a real-valued sequence, backed by a read-only array.
 
-    Windows compare equal when their offsets and their exact values agree.
-    Values must be finite.
+    The last axis is the sequence index: ``values[..., i - offset]`` is the
+    coordinate at absolute index ``i``, so a 1-d window holds one path and
+    leading axes hold several (a particle matrix has one row per particle).
+    A writable array is copied column-major, so that each coordinate's
+    values are contiguous; a read-only array is shared as it is, and a
+    caller's array is never frozen or captured.  Windows compare equal when
+    their offsets and their exact values agree.  Values must be finite.
     """
 
     offset: int
     values: np.ndarray
 
     def __post_init__(self):
-        values = frozen_array(self.values)
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError("Window requires a nonempty 1-d sequence of values")
+        values = np.asarray(self.values, dtype=np.float64)
+        if values.flags.writeable:
+            values = values.copy(order="F")
+            values.setflags(write=False)
+        if values.ndim < 1 or values.size == 0:
+            raise ValueError(f"{type(self).__name__} requires a nonempty array of values")
         if not np.isfinite(values).all():
-            raise ValueError("Window values must be finite")
+            raise ValueError(f"{type(self).__name__} values must be finite")
         object.__setattr__(self, "offset", int(self.offset))
         object.__setattr__(self, "values", values)
 
@@ -64,7 +59,7 @@ class Window:
         return self.offset == other.offset and np.array_equal(self.values, other.values)
 
     def __len__(self) -> int:
-        return self.values.size
+        return self.values.shape[-1]
 
     @property
     def first_index(self) -> int:
@@ -72,21 +67,25 @@ class Window:
 
     @property
     def last_index(self) -> int:
-        return self.offset + self.values.size - 1
+        return self.offset + len(self) - 1
 
-    def covers(self, index: int) -> bool:
-        return self.first_index <= index <= self.last_index
+    def span(self, first: int, last: int) -> np.ndarray:
+        """Values at absolute indices ``first .. last`` inclusive, as a view.
 
-    def covers_range(self, first: int, last: int) -> bool:
-        return self.first_index <= first and last <= self.last_index
-
-    def coordinate(self, index: int) -> float:
-        """Value at absolute index ``index``; raises outside the window."""
-        if not self.covers(index):
+        Raises :class:`CoverageError` unless ``first <= last`` and both lie
+        inside the window.
+        """
+        if not self.offset <= first <= last <= self.last_index:
             raise CoverageError(
-                f"index {index} outside window [{self.first_index}, {self.last_index}]"
+                f"indices [{first}, {last}] outside window [{self.offset}, {self.last_index}]"
             )
-        return float(self.values[index - self.offset])
+        return self.values[..., first - self.offset : last + 1 - self.offset]
+
+    def coordinate(self, index: int):
+        """Value at absolute index ``index``: a float for a 1-d window, the
+        values along the leading axes otherwise."""
+        value = self.span(index, index)[..., 0]
+        return float(value) if value.ndim == 0 else value
 
 
 @dataclass(frozen=True)
@@ -117,10 +116,11 @@ class TrajMetric(NamedTuple):
 def shift_path(p: Window, t: int) -> Window:
     """Translate a window by ``t``: the result at index ``i`` is ``p`` at ``i + t``.
 
-    The values are shared, only the offset moves; paths and noise windows
-    shift by the same convention.
+    The result has the type of ``p`` and shares its values; only the offset
+    moves.  Paths, noise windows and particle measures (the pushforward
+    under the path translation) shift by the same convention.
     """
-    return Window(offset=p.offset - t, values=p.values)
+    return replace(p, offset=p.offset - t)
 
 
 def truncate_path(p: Window, t: int) -> Window:
@@ -128,13 +128,9 @@ def truncate_path(p: Window, t: int) -> Window:
 
     ``t`` must lie inside the window.
     """
-    if not p.covers(t):
-        raise CoverageError(
-            f"truncation index {t} outside window [{p.first_index}, {p.last_index}]"
-        )
     values = p.values.copy()
-    values[t - p.offset + 1 :] = values[t - p.offset]
-    return Window(offset=p.offset, values=values)
+    values[..., t - p.offset + 1 :] = p.span(t, t)
+    return replace(p, values=values)
 
 
 def _damp(r: np.ndarray) -> np.ndarray:

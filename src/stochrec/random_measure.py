@@ -1,9 +1,11 @@
 """One realization of a random measure on sequence space, represented as a
 uniform particle ensemble over a common index window.
 
-The module provides integration of bounded functions, probabilities of
-cylinder rectangles, translation of measures, and a statistical test for
-equality in distribution of two measure-valued samplers.
+A measure is a :class:`~stochrec.path_space.Window` over its particle
+matrix, so it is indexed, sliced and translated as a window.  The module
+provides integration of bounded functions, probabilities of cylinder
+rectangles, and a statistical test for equality in distribution of two
+measure-valued samplers.
 """
 
 import json
@@ -14,8 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _ks as _sps  # perfbench/spans.py traces KS calls through this name
-from .errors import CoverageError
-from .path_space import frozen_array
+from .path_space import Window
 from .seeds import draw_unit, substream
 
 __all__ = [
@@ -25,7 +26,6 @@ __all__ = [
     "MeasureSampler",
     "integrate",
     "cylinder_prob",
-    "shift_measure",
     "measures_allclose",
     "distributions_equal",
     "ks_critical",
@@ -37,76 +37,29 @@ __all__ = [
 MeasureSampler = Callable[[int], "ParticleMeasure"]
 
 
-class ParticleMeasure:
+class ParticleMeasure(Window):
     """A probability measure carried by equally likely particles on one window.
 
-    All particles share the same offset and length, and each carries mass
-    ``1 / particle_count``.  Values are finite.  Instances are immutable;
-    the backing array is marked read-only and may be shared between
-    measures.  Build them with :meth:`from_matrix`.
+    A :class:`~stochrec.path_space.Window` over an ``(n_particles,
+    window_len)`` matrix: row ``j`` is particle ``j``'s path, and each
+    particle carries mass ``1 / particle_count``.  Indexing, :meth:`span`,
+    equality, immutability and the shared read-only, column-major storage
+    are the window's; :func:`~stochrec.path_space.shift_path` translates a
+    measure like any other window.
     """
 
-    __slots__ = ("offset", "values")
-
-    @classmethod
-    def from_matrix(cls, offset: int, values: np.ndarray) -> "ParticleMeasure":
-        """Build a measure from an ``(n_particles, window_len)`` value matrix.
-
-        A writable matrix is copied column-major, so each coordinate's
-        particle values are contiguous for the column reads of probes and
-        rectangles; a read-only matrix is shared as it is.
-        """
-        values = frozen_array(values)
-        if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
-            raise ValueError("values must be a nonempty 2-d matrix")
-        if not np.isfinite(values).all():
-            raise ValueError("particle values must be finite")
-        self = cls.__new__(cls)
-        object.__setattr__(self, "offset", int(offset))
-        object.__setattr__(self, "values", values)
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ParticleMeasure is immutable")
+    def __post_init__(self):
+        super().__post_init__()
+        if self.values.ndim != 2:
+            raise ValueError("ParticleMeasure values must be a 2-d matrix")
 
     @property
     def particle_count(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def window_length(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def first_index(self) -> int:
-        return self.offset
-
-    @property
-    def last_index(self) -> int:
-        return self.offset + self.window_length - 1
-
-    def covers_range(self, first: int, last: int) -> bool:
-        return self.first_index <= first and last <= self.last_index
-
     def column(self, index: int) -> np.ndarray:
         """Particle values at absolute index ``index``."""
-        if not self.covers_range(index, index):
-            raise CoverageError(
-                f"index {index} outside window [{self.first_index}, {self.last_index}]"
-            )
-        return self.values[:, index - self.offset]
-
-    def column_block(self, first: int, last: int) -> np.ndarray:
-        """Particle values at absolute indices ``first..last`` inclusive."""
-        if first > last:
-            raise ValueError("first must not exceed last")
-        if not self.covers_range(first, last):
-            raise CoverageError(
-                f"indices [{first}, {last}] outside window "
-                f"[{self.first_index}, {self.last_index}]"
-            )
-        a = first - self.offset
-        return self.values[:, a : a + (last - first + 1)]
+        return self.span(index, index)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -187,7 +140,7 @@ def integrate(mu: ParticleMeasure, values: np.ndarray):
 
 def cylinder_prob(mu: ParticleMeasure, delta: CylinderSet) -> float:
     """Measure of the rectangle: the fraction of particles inside it."""
-    block = mu.column_block(delta.start, delta.last_index)
+    block = mu.span(delta.start, delta.last_index)
     (a, b), *rest = delta.intervals
     inside = (block[:, 0] >= a) & (block[:, 0] < b)
     for j, (a, b) in enumerate(rest, 1):
@@ -196,22 +149,12 @@ def cylinder_prob(mu: ParticleMeasure, delta: CylinderSet) -> float:
     return float(integrate(mu, inside))
 
 
-def shift_measure(mu: ParticleMeasure, t: int) -> ParticleMeasure:
-    """Pushforward of the measure under the path translation by ``t``.
-
-    Equivalent to shifting every particle path with
-    :func:`~stochrec.path_space.shift_path`; the value matrix is shared, only
-    the offset moves.
-    """
-    return ParticleMeasure.from_matrix(mu.offset - t, mu.values)
-
-
 def measures_allclose(a: ParticleMeasure, b: ParticleMeasure, atol: float = 0.0) -> bool:
     """Coordinate-wise comparison of two ensembles on the same window."""
+    if atol == 0.0:
+        return a == b
     if a.offset != b.offset or a.values.shape != b.values.shape:
         return False
-    if atol == 0.0:
-        return bool(np.array_equal(a.values, b.values))
     return bool(np.max(np.abs(a.values - b.values)) <= atol)
 
 

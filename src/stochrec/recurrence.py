@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CoverageError, InverseUnavailableError
 from .path_space import Window
-from .seeds import draw_normal, draw_u64, draw_unit
+from .seeds import counter_range, draw_normal, draw_u64, draw_unit
 
 __all__ = [
     "UpdateMap",
@@ -121,7 +121,7 @@ class NoiseModel:
         """Noise values at absolute indices ``first_index .. first_index+length-1``."""
         if length < 1:
             raise ValueError("noise window length must be positive")
-        counters = np.arange(first_index, first_index + length, dtype=np.int64)
+        counters = counter_range(first_index, length)
         if self.law == "uniform":
             values = draw_unit(self.seed, counters)
         else:

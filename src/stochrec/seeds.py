@@ -14,7 +14,9 @@ Splitting rule
 * ``draw_u64(seed, counter)`` is element ``counter`` of the splitmix64
   sequence seeded at ``seed``: ``mix64(seed + (counter + 1) * GOLDEN)`` with
   all arithmetic modulo 2**64.  Counters may be negative (they wrap, which
-  lets noise values be addressed by absolute sequence index).
+  lets noise values be addressed by absolute sequence index);
+  :func:`counter_range` builds a range of absolute indices as uint64
+  counters with the same wrap, wherever in the 64-bit space it lies.
 * Per-replica child seeds are ``draw_u64(stream_seed, replica_index)``.
 
 When the seed and the counter are both scalars (Python or numpy integers, or
@@ -33,6 +35,7 @@ __all__ = [
     "GOLDEN",
     "fnv1a64",
     "mix64",
+    "counter_range",
     "substream",
     "draw_u64",
     "draw_unit",
@@ -52,13 +55,20 @@ _INV_2_53 = float(2.0**-53)
 
 def _as_u64(x):
     """An integer scalar or 0-d array as a Python int modulo 2**64; an
-    integer array as uint64 (negative values wrap)."""
+    integer array as a new uint64 array (negative values wrap), which the
+    caller may overwrite.  Float, bool and object arrays are refused."""
     if isinstance(x, (int, np.integer)):
         return int(x) & _U64_MASK
     a = np.asarray(x)
-    if a.dtype != np.uint64:
-        a = a.astype(np.int64, copy=False).astype(np.uint64)
-    return int(a) if a.ndim == 0 else a
+    if a.dtype.kind not in "iu":
+        raise TypeError(f"seeds and counters must be integers, got dtype {a.dtype}")
+    return int(a) & _U64_MASK if a.ndim == 0 else a.astype(np.uint64)
+
+
+def counter_range(first: int, length: int) -> np.ndarray:
+    """The counters ``first .. first + length - 1`` modulo 2**64, as uint64;
+    a range of absolute indices may lie anywhere and cross 2**63 or 0."""
+    return np.arange(length, dtype=np.uint64) + np.uint64(int(first) & _U64_MASK)
 
 
 def fnv1a64(text: str) -> int:
@@ -76,15 +86,19 @@ def _mix(z: int) -> int:
 
 
 def _mix_array(z: np.ndarray) -> np.ndarray:
-    # uint64 array arithmetic wraps silently; only numpy scalar ops warn
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E9B5)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    # in place, with one shifted temporary live; the caller passes a fresh
+    # array.  uint64 array arithmetic wraps silently; only scalar ops warn
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E9B5)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def mix64(z):
     """splitmix64 finalizer: a bijective avalanche mix on uint64 values."""
-    z = _as_u64(z)
+    z = _as_u64(z)  # an array is a copy, so the caller's is never mixed
     return np.uint64(_mix(z)) if isinstance(z, int) else _mix_array(z)
 
 
@@ -95,18 +109,24 @@ def substream(master: int, tag: str) -> int:
 
 def _draw(seed, counters):
     """:func:`draw_u64` as a Python int when both arguments are scalars,
-    else as a uint64 array.  A scalar counter's step ``(counter + 1) *
-    GOLDEN`` is taken in Python ints either way, so no numpy scalar op (the
-    only kind that warns on overflow) is ever evaluated."""
+    else as a fresh uint64 array, computed in place in the converted copy.
+    A scalar counter's step ``(counter + 1) * GOLDEN`` is taken in Python
+    ints either way, so no numpy scalar op (the only kind that warns on
+    overflow) is ever evaluated."""
     s, c = _as_u64(seed), _as_u64(counters)
     if isinstance(c, int):
         step = ((c + 1) * GOLDEN) & _U64_MASK
         if isinstance(s, int):
             return _mix((s + step) & _U64_MASK)
-        return _mix_array(s + np.uint64(step))
+        s += np.uint64(step)
+        return _mix_array(s)
+    c += np.uint64(1)
+    c *= _GOLDEN_U
     if isinstance(s, int):
-        s = np.uint64(s)
-    return _mix_array(s + (c + np.uint64(1)) * _GOLDEN_U)
+        c += np.uint64(s)
+    else:
+        c = c + s  # seeds and counters broadcast against each other
+    return _mix_array(c)
 
 
 def draw_u64(seed, counters):
@@ -125,7 +145,8 @@ def draw_unit(seed, counters):
     bits = _draw(seed, counters)
     if isinstance(bits, int):
         return np.float64((bits >> 11) * _INV_2_53)
-    return (bits >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    bits >>= np.uint64(11)
+    return bits * _INV_2_53
 
 
 def draw_unit_open(seed, counters):
@@ -133,7 +154,9 @@ def draw_unit_open(seed, counters):
     bits = _draw(seed, counters)
     if isinstance(bits, int):
         return np.float64(((bits >> 11) + 1) * _INV_2_53)
-    return ((bits >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * _INV_2_53
+    bits >>= np.uint64(11)
+    bits += np.uint64(1)
+    return bits * _INV_2_53
 
 
 _NORMAL_R_SALT = fnv1a64("normal-radius")

@@ -180,6 +180,21 @@ class TestGoldenPayloads:
             "eb584045fca1612dacf136de3e50029242502278cc357783c8a9a45acd572caa"
         )
 
+    @pytest.mark.parametrize(
+        "extra, digest",
+        [
+            (
+                ["stationarity", "--n", "100"],
+                "38816b793f4c6dea69b8978508321afe5b21e40eb007c4a5b55ee28b65544a0f",
+            ),
+            (["equivariance"], "f697b60bf39f0b4f907e432ae717158807959c995129d1c73a98ce3ef48d3e1e"),
+        ],
+    )
+    def test_diagnose_payload(self, tmp_path, extra, digest):
+        out = tmp_path / "diag.json"
+        assert main(["diagnose", *extra, "--seed", "3", "--out", str(out)]) == 0
+        assert self.digest(out) == digest
+
 
 class TestDiagnose:
     def test_unknown_suite_exit_2(self, capsys):
@@ -280,6 +295,25 @@ class TestDeterminism:
         assert main(base + ["--threads", "1", "--out", str(a)]) == 0
         assert main(base + ["--threads", threads, "--out", str(b)]) == 0
         assert scrub_manifest(read_json(a)) == scrub_manifest(read_json(b))
+
+
+class TestIndexRange:
+    """Windows anywhere in the 64-bit index space run like windows near 0."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["consistency", "--window-lo", "9223372036854775800"],
+            ["stationarity", "--window-lo", "9223372036854775808", "--n", "100"],
+            ["equivariance", "--window-lo", "9223372036854775808"],
+            ["conditional-law", "--window-lo", "9223372036854775807"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_window_at_2_63_exits_0(self, tmp_path, args):
+        out = tmp_path / "diag.json"
+        assert main(["diagnose", *args, "--out", str(out)]) == 0
+        assert read_json(out)["passed"] is True
 
 
 class TestBadInput:

@@ -21,7 +21,8 @@ from stochrec.diagnostics import (
 )
 from stochrec.errors import CoverageError
 from stochrec.measure_solution import MeasureBuilder, conditional_measure
-from stochrec.random_measure import CylinderSet, distributions_equal, integrate, shift_measure
+from stochrec.path_space import shift_path
+from stochrec.random_measure import CylinderSet, distributions_equal, integrate
 from stochrec.recurrence import NoiseModel, contraction_map, fractional_map, stationary_sampler
 from stochrec.seeds import draw_normal, draw_u64, substream
 
@@ -347,7 +348,7 @@ class TestGaussianPairSampler:
         sampler = gaussian_pair_sampler(0.8, 0.5, cfg)
 
         def shifted(r):
-            return shift_measure(sampler(r), 1)
+            return shift_path(sampler(r), 1)
 
         deltas = [
             CylinderSet(start=1, intervals=((-0.5, 0.5),)),
@@ -382,3 +383,9 @@ class TestStationaryGaussianPath:
         hi = lo + length - 1
         got = diagnostics._stationary_gaussian_path(a, seed, lo, hi)
         assert int_bits(got) == int_bits(reference_gaussian_path(a, seed, lo, hi))
+
+    @pytest.mark.parametrize("lo", [2**63 - 4, 2**63 - 1, 2**63, -(2**63) - 3, 2**64 - 2])
+    def test_counters_wrap_across_the_64_bit_edges(self, lo):
+        # counters are absolute indices modulo 2**64, never float64
+        got = diagnostics._stationary_gaussian_path(0.5, 11, lo, lo + 9)
+        assert int_bits(got) == int_bits(reference_gaussian_path(0.5, 11, lo, lo + 9))

@@ -1,9 +1,11 @@
 """Source hygiene of ``src/stochrec``: no module keeps an import it never
-uses, and no module-level private name is left that nothing references.
-Both are the leftovers a deletion tends to leave behind.
+uses, no module-level private name is left that nothing references, and
+every ``__all__`` entry names something the module has.  All three are the
+leftovers a deletion tends to leave behind.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -70,6 +72,18 @@ def test_no_unreferenced_private_name(name):
     read_anywhere = set().union(*(loaded(t) for t in TREES.values()))
     unreferenced = private_definitions(TREES[name]) - read_anywhere
     assert not unreferenced, f"{name} defines {sorted(unreferenced)} and nothing reads them"
+
+
+PACKAGE_AND_MODULES = ["stochrec"] + [
+    f"stochrec.{path.stem}" for path in MODULES if path.stem != "__init__"
+]
+
+
+@pytest.mark.parametrize("name", PACKAGE_AND_MODULES)
+def test_every_export_resolves(name):
+    module = importlib.import_module(name)
+    missing = [entry for entry in getattr(module, "__all__", ()) if not hasattr(module, entry)]
+    assert not missing, f"{name}.__all__ lists {missing}, which it does not define"
 
 
 def test_scan_sees_every_module():

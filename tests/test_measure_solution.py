@@ -28,7 +28,6 @@ from stochrec.random_measure import (
     cylinder_prob,
     integrate,
     measures_allclose,
-    shift_measure,
 )
 from stochrec.recurrence import (
     NoiseModel,
@@ -205,14 +204,14 @@ class TestHopfFunctionals:
 
     def test_lhs_point_mass_formula(self):
         values = np.asarray([[0.1, 0.4, 0.7, 0.2]])
-        mu = ParticleMeasure.from_matrix(0, values)
+        mu = ParticleMeasure(0, values)
         spec = CharSpec(n=0, m=2, lambdas=(1.5, -0.5), rho=2.0)
         expected = cmath.exp(1j * (1.5 * 0.4 - 0.5 * 0.7 + 2.0 * 0.2))
         assert hopf_lhs(mu, spec) == pytest.approx(expected, abs=1e-12)
 
     def test_lhs_two_particle_mean(self):
         values = np.asarray([[0.1, 0.4], [0.9, 0.3]])
-        mu = ParticleMeasure.from_matrix(0, values)
+        mu = ParticleMeasure(0, values)
         spec = CharSpec(n=-1, m=1, lambdas=(2.0,), rho=-1.0)
         expected = 0.5 * (
             cmath.exp(1j * (2.0 * 0.1 - 0.4)) + cmath.exp(1j * (2.0 * 0.9 - 0.3))
@@ -232,7 +231,7 @@ class TestHopfFunctionals:
 
     def test_rhs_point_mass(self):
         values = np.asarray([[0.1, 0.4, 0.7]])
-        mu = ParticleMeasure.from_matrix(0, values)
+        mu = ParticleMeasure(0, values)
         noise = Window(offset=1, values=(0.25, 0.5))
         fm = fractional_map()
         spec = CharSpec(n=0, m=1, lambdas=(1.0,), rho=3.0)
@@ -275,7 +274,7 @@ class TestHopfResidual:
         mu = conditional_measure(make_builder(), make_noise())
         pert = perturb_last_coordinate(mu, seed=5)
         assert sorted(pert.column(10)) == sorted(mu.column(10))
-        assert np.array_equal(pert.column_block(0, 9), mu.column_block(0, 9))
+        assert np.array_equal(pert.span(0, 9), mu.span(0, 9))
 
 
 def reference_integrate(mu, values):
@@ -286,13 +285,13 @@ def reference_integrate(mu, values):
 
 def row_sum_lhs(mu, spec):
     # the row reduction over a C-ordered block that the probes used before the fold
-    block = np.ascontiguousarray(mu.column_block(spec.n + 1, spec.n + spec.m + 1))
+    block = np.ascontiguousarray(mu.span(spec.n + 1, spec.n + spec.m + 1))
     phases = (block * np.asarray(spec.lambdas + (spec.rho,))).sum(axis=1)
     return complex(reference_integrate(mu, np.exp(1j * phases)))
 
 
 def row_sum_rhs(mu, noise, spec, update_map):
-    block = np.ascontiguousarray(mu.column_block(spec.n + 1, spec.n + spec.m))
+    block = np.ascontiguousarray(mu.span(spec.n + 1, spec.n + spec.m))
     phases = (block * np.asarray(spec.lambdas)).sum(axis=1)
     stepped = update_map.apply(block[:, -1], noise.coordinate(spec.n + spec.m + 1))
     return complex(reference_integrate(mu, np.exp(1j * (phases + spec.rho * stepped))))
@@ -338,7 +337,7 @@ class TestPhaseFold:
         if perturbed:
             mu = perturb_last_coordinate(mu, seed)
         values = read_only(np.array(mu.values, order=layout))
-        mu = ParticleMeasure.from_matrix(mu.offset, values)
+        mu = ParticleMeasure(mu.offset, values)
         assert mu.values is values
         specs = char_spec_grid(window) + random_char_specs(window, extra_specs, seed)
         for spec in specs:
@@ -354,10 +353,10 @@ class TestPhaseFold:
         # +0.0 like numpy's reduction, so no phase comes out as -0.0
         values = np.zeros((3, 4))
         values[:, 2] = [0.25, 0.5, 0.75]
-        mu = ParticleMeasure.from_matrix(0, values)
+        mu = ParticleMeasure(0, values)
         noise = Window(offset=1, values=(0.1, 0.2, 0.3))
         spec = CharSpec(n=0, m=1, lambdas=(-0.0,), rho=0.0)
-        block = mu.column_block(1, 2)
+        block = mu.span(1, 2)
         freqs = spec.lambdas + (spec.rho,)
         old = (np.ascontiguousarray(block) * np.asarray(freqs)).sum(axis=1)
         phases = measure_solution._phases(block, freqs)
@@ -393,16 +392,16 @@ class TestLayout:
 
     def test_read_only_matrix_is_shared(self):
         mu = conditional_measure(make_builder(), make_noise())
-        assert shift_measure(mu, 3).values is mu.values
+        assert shift_path(mu, 3).values is mu.values
 
     def test_c_and_f_input_give_the_same_measure(self):
         mu = conditional_measure(make_builder(window=(0, 10)), make_noise(window=(0, 10)))
         noise = make_noise(window=(0, 10))
-        from_c = ParticleMeasure.from_matrix(0, np.ascontiguousarray(mu.values))
-        from_f = ParticleMeasure.from_matrix(0, np.asfortranarray(mu.values.copy()))
+        from_c = ParticleMeasure(0, np.ascontiguousarray(mu.values))
+        from_f = ParticleMeasure(0, np.asfortranarray(mu.values.copy()))
         assert from_c.values.flags.f_contiguous and from_f.values.flags.f_contiguous
         assert from_c.values.flags.writeable is False
-        shared_c = ParticleMeasure.from_matrix(0, read_only(np.ascontiguousarray(mu.values)))
+        shared_c = ParticleMeasure(0, read_only(np.ascontiguousarray(mu.values)))
         assert shared_c.values.flags.c_contiguous
         measures = (mu, from_c, from_f, shared_c)
         for other in measures[1:]:
@@ -494,7 +493,7 @@ class TestShiftEquivariance:
     def test_mismatched_initializer_seeds_break_identity(self):
         builder = make_builder()
         noise = make_noise()
-        lhs = shift_measure(conditional_measure(builder, noise), -3)
+        lhs = shift_path(conditional_measure(builder, noise), -3)
         other = MeasureBuilder(
             update_map=builder.update_map,
             particle_count=builder.particle_count,

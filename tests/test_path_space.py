@@ -87,6 +87,35 @@ class TestWindowArray:
         assert again.values.tobytes() == np.asarray(values, dtype=np.float64).tobytes()
 
 
+class TestSpan:
+    def test_view_by_absolute_index(self):
+        w = Window(offset=-2, values=(10.0, 11.0, 12.0, 13.0))
+        block = w.span(-1, 0)
+        assert block.tolist() == [11.0, 12.0]
+        assert np.shares_memory(block, w.values) and not block.flags.writeable
+        assert w.span(-2, 1).tolist() == w.values.tolist()
+
+    @pytest.mark.parametrize("first, last", [(-3, 0), (0, 2), (1, 0), (2, 2), (-3, -3)])
+    def test_outside_or_reversed_raises(self, first, last):
+        w = Window(offset=-2, values=(10.0, 11.0, 12.0, 13.0))
+        with pytest.raises(CoverageError):
+            w.span(first, last)
+
+    def test_last_axis_is_the_index(self):
+        # leading axes ride along: a matrix is one path per row
+        rows = np.arange(12.0).reshape(3, 4)
+        w = Window(offset=5, values=rows)
+        assert len(w) == 4 and w.first_index == 5 and w.last_index == 8
+        assert np.array_equal(w.span(6, 7), rows[:, 1:3])
+        assert np.array_equal(w.coordinate(8), rows[:, 3])
+        assert truncate_path(w, 6).values.tolist() == [[r[0], r[1], r[1], r[1]] for r in rows]
+        assert np.array_equal(shift_path(w, 2).span(4, 4), w.span(6, 6))
+
+    def test_writable_input_copied_column_major(self):
+        w = Window(offset=0, values=np.ones((3, 4)))
+        assert w.values.flags.f_contiguous
+
+
 class TestShift:
     def test_identity(self):
         p = Window(offset=3, values=(1.0, 2.0))

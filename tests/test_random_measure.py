@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from stochrec.errors import CoverageError
 from stochrec.measure_solution import perturb_last_coordinate
+from stochrec.path_space import Window, shift_path
 from stochrec.random_measure import (
     CylinderSet,
     ParticleMeasure,
@@ -17,41 +18,40 @@ from stochrec.random_measure import (
     ks_critical,
     ks_two_sample_threshold,
     measures_allclose,
-    shift_measure,
 )
 
 
 def two_particle_measure(u0_values=(0.2, 0.8), offset=0, length=1):
     rows = [[v] * length for v in u0_values]
-    return ParticleMeasure.from_matrix(offset, np.asarray(rows))
+    return ParticleMeasure(offset, np.asarray(rows))
 
 
 class TestParticleMeasure:
     def test_requires_particles(self):
         with pytest.raises(ValueError):
-            ParticleMeasure.from_matrix(0, np.empty((0, 1)))
+            ParticleMeasure(0, np.empty((0, 1)))
 
     def test_mismatched_windows_rejected(self):
         # rows of different lengths cannot share one window
         with pytest.raises(ValueError):
-            ParticleMeasure.from_matrix(0, [[1.0, 2.0], [1.0]])
+            ParticleMeasure(0, [[1.0, 2.0], [1.0]])
         with pytest.raises(ValueError):
-            ParticleMeasure.from_matrix(0, np.array([1.0, 2.0]))
+            ParticleMeasure(0, np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
-            ParticleMeasure.from_matrix(0, np.ones((2, 0)))
+            ParticleMeasure(0, np.ones((2, 0)))
 
     def test_particles_round_trip(self):
         rows = np.array([[1.0, 2.0], [3.0, 4.0]])
-        mu = ParticleMeasure.from_matrix(2, rows)
+        mu = ParticleMeasure(2, rows)
         assert np.array_equal(mu.values, rows)
         assert mu.particle_count == 2
-        assert mu.offset == 2 and mu.window_length == 2
+        assert mu.offset == 2 and len(mu) == 2
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_values_rejected(self, bad):
         rows = np.array([[0.1, 0.2], [0.3, bad]])
         with pytest.raises(ValueError, match="finite"):
-            ParticleMeasure.from_matrix(0, rows)
+            ParticleMeasure(0, rows)
 
     def test_immutable(self):
         mu = two_particle_measure()
@@ -60,9 +60,19 @@ class TestParticleMeasure:
         with pytest.raises(ValueError):
             mu.values[0, 0] = 9.0
 
+    def test_is_a_window_and_shifts_as_one(self):
+        mu = ParticleMeasure(3, np.arange(6.0).reshape(2, 3))
+        assert isinstance(mu, Window) and len(mu) == 3 and mu.last_index == 5
+        shifted = shift_path(mu, 2)
+        assert type(shifted) is ParticleMeasure
+        assert shifted.offset == 1 and shifted.values is mu.values
+        assert np.array_equal(shifted.column(1), mu.column(3))
+        with pytest.raises(CoverageError):
+            mu.column(6)
+
     def test_caller_arrays_not_captured(self):
         v = np.array([[0.1], [0.9]])
-        mu = ParticleMeasure.from_matrix(0, v)
+        mu = ParticleMeasure(0, v)
         v[0, 0] = 5.0
         assert mu.values[0, 0] == 0.1
 
@@ -73,7 +83,7 @@ class TestIntegrate:
         assert integrate(mu, np.ones(mu.particle_count)) == pytest.approx(1.0, abs=1e-12)
 
     def test_point_mass(self):
-        mu = ParticleMeasure.from_matrix(0, [[0.3, 0.6]])
+        mu = ParticleMeasure(0, [[0.3, 0.6]])
         assert integrate(mu, mu.column(1) ** 2) == pytest.approx(0.36)
 
     def test_indicator_average(self):
@@ -91,7 +101,7 @@ class TestIntegrate:
         for _ in range(50):
             n = rng.integers(1, 20)
             vals = rng.normal(size=(n, 3))
-            mu = ParticleMeasure.from_matrix(0, vals)
+            mu = ParticleMeasure(0, vals)
             phase = rng.normal(size=3)
             f = [cmath.exp(1j * sum(c * v for c, v in zip(phase, row))) for row in mu.values]
             assert abs(integrate(mu, f)) <= 1.0 + 1e-12
@@ -124,7 +134,7 @@ class TestCylinderProb:
     def test_additive_over_tilings(self):
         rng = np.random.default_rng(11)
         vals = rng.random((64, 3))
-        mu = ParticleMeasure.from_matrix(0, vals)
+        mu = ParticleMeasure(0, vals)
         for _ in range(100):
             a, b = sorted(rng.random(2))
             c = rng.uniform(a, b)
@@ -141,7 +151,7 @@ class TestCylinderProb:
 
     def test_monotone_in_each_interval(self):
         rng = np.random.default_rng(13)
-        mu = ParticleMeasure.from_matrix(0, rng.random((64, 2)))
+        mu = ParticleMeasure(0, rng.random((64, 2)))
         for _ in range(50):
             a, b = sorted(rng.random(2))
             small = cylinder_prob(mu, CylinderSet(0, ((a, b), (0.2, 0.8))))
@@ -157,7 +167,7 @@ def reference_integrate(mu, values):
 
 def reference_cylinder_prob(mu, delta):
     # the rectangle as it was evaluated from an all-true mask
-    block = mu.column_block(delta.start, delta.last_index)
+    block = mu.span(delta.start, delta.last_index)
     inside = np.ones(mu.particle_count, dtype=bool)
     for j, (a, b) in enumerate(delta.intervals):
         col = block[:, j]
@@ -182,7 +192,7 @@ def random_measures(draw):
     values = np.round(2.0 * rng.random((particles, length)) - 0.5, draw(st.integers(1, 6)))
     values = np.array(values, order=draw(st.sampled_from(["C", "F"])))
     values.setflags(write=False)  # shared as is, so the drawn layout is kept
-    mu = ParticleMeasure.from_matrix(draw(st.integers(-5, 5)), values)
+    mu = ParticleMeasure(draw(st.integers(-5, 5)), values)
     if draw(st.booleans()):
         mu = perturb_last_coordinate(mu, seed)
     return mu, rng
@@ -198,7 +208,7 @@ class TestSameBitsAsReference:
            start=st.integers(0, 5))
     def test_cylinder_prob(self, measure, ivals, start):
         mu, _ = measure
-        delta = CylinderSet(mu.offset + min(start, mu.window_length - len(ivals)), tuple(ivals))
+        delta = CylinderSet(mu.offset + min(start, len(mu) - len(ivals)), tuple(ivals))
         got = cylinder_prob(mu, delta)
         assert isinstance(got, float)
         assert bits(got) == bits(reference_cylinder_prob(mu, delta))
@@ -218,19 +228,19 @@ class TestSameBitsAsReference:
 class TestShiftMeasure:
     def test_identity(self):
         mu = two_particle_measure((0.2, 0.8), length=3)
-        assert measures_allclose(shift_measure(mu, 0), mu)
+        assert measures_allclose(shift_path(mu, 0), mu)
 
     def test_composition(self):
         mu = two_particle_measure((0.2, 0.8), length=3)
-        once = shift_measure(shift_measure(mu, 2), -5)
-        assert measures_allclose(once, shift_measure(mu, -3))
+        once = shift_path(shift_path(mu, 2), -5)
+        assert measures_allclose(once, shift_path(mu, -3))
 
     def test_pushforward_bookkeeping(self):
         # particles hold u_1 in {0.2, 0.8}; after shifting by 1 the same
         # values are read at index 0
         rows = np.asarray([[0.9, 0.2], [0.1, 0.8]])
-        mu = ParticleMeasure.from_matrix(0, rows)
-        shifted = shift_measure(mu, 1)
+        mu = ParticleMeasure(0, rows)
+        shifted = shift_path(mu, 1)
         delta0 = CylinderSet(0, ((0.0, 0.5),))
         delta1 = CylinderSet(1, ((0.0, 0.5),))
         assert cylinder_prob(shifted, delta0) == pytest.approx(0.5)
@@ -238,8 +248,8 @@ class TestShiftMeasure:
 
     def test_values_and_integrals_preserved(self):
         rng = np.random.default_rng(3)
-        mu = ParticleMeasure.from_matrix(0, rng.random((10, 4)))
-        shifted = shift_measure(mu, 2)
+        mu = ParticleMeasure(0, rng.random((10, 4)))
+        shifted = shift_path(mu, 2)
         assert shifted.values is mu.values
         # f(u) = 2 u_{-2} + 1 on the shifted measure reads u_0 of the original
         assert integrate(shifted, shifted.column(-2) * 2.0 + 1.0) == integrate(
@@ -271,14 +281,14 @@ class TestStatReport:
 class TestDistributionsEqual:
     @staticmethod
     def constant_sampler(level: float):
-        mu = ParticleMeasure.from_matrix(0, np.full((4, 2), level))
+        mu = ParticleMeasure(0, np.full((4, 2), level))
         return lambda r: mu
 
     def test_identical_seeds_trivially_pass(self):
         rng_rows = np.random.default_rng(5).random((8, 2))
 
         def sampler(r):
-            return ParticleMeasure.from_matrix(0, rng_rows + (r % 7) * 0.01)
+            return ParticleMeasure(0, rng_rows + (r % 7) * 0.01)
 
         deltas = [CylinderSet(0, ((0.0, 0.5),)), CylinderSet(1, ((0.2, 0.7),))]
         report = distributions_equal(sampler, sampler, deltas, 120, 0.01)

@@ -18,7 +18,7 @@ from stochrec.recurrence import (
     stationary_sampler,
     update_map_from_name,
 )
-from stochrec.seeds import draw_unit, substream
+from stochrec.seeds import draw_normal, draw_unit, substream
 
 unit = st.floats(0.0, 1.0, exclude_max=True, allow_nan=False)
 
@@ -303,6 +303,18 @@ class TestNoiseModel:
 
     def test_determinism(self):
         assert NoiseModel(seed=9).window(2, 6) == NoiseModel(seed=9).window(2, 6)
+
+    @pytest.mark.parametrize("law, draw", [("uniform", draw_unit), ("normal", draw_normal)])
+    @pytest.mark.parametrize(
+        "first", [2**63 - 3, 2**63, 2**63 + 5, -(2**63) - 3, -(2**63), -2, 2**64 - 3]
+    )
+    def test_window_counters_wrap_modulo_2_64(self, law, draw, first):
+        # a window starting at or crossing +-2**63 (or 2**64) reads the same
+        # values as the per-index scalar draws
+        window = NoiseModel(law=law, seed=7).window(first, 6)
+        assert window.offset == first and window.last_index == first + 5
+        want = [draw(7, k) for k in range(first, first + 6)]
+        assert window.values.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
 
 
 class TestStationarySampler:

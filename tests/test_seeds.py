@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import example, given, strategies as st
 from stochrec.seeds import (
     GOLDEN,
     PRNG_NAME,
+    counter_range,
     draw_normal,
     draw_u64,
     draw_unit,
@@ -205,3 +207,72 @@ class TestScalarPath:
                 )
                 draw_normal(seeds, counter)
                 draw_unit(np.array(7), np.array(counter % 2**64, dtype=np.uint64))
+
+
+class TestCounterRange:
+    @pytest.mark.parametrize("first", [0, -3, 2**63 - 2, 2**63, -(2**63) - 1, 2**64 - 2, 2**70])
+    def test_absolute_indices_modulo_2_64(self, first):
+        counters = counter_range(first, 5)
+        assert counters.dtype == np.uint64
+        assert counters.tolist() == [(first + k) & MASK for k in range(5)]
+
+    @pytest.mark.parametrize("bad", [np.arange(3.0), np.array([True]), np.array([2**70])])
+    def test_non_integer_arrays_refused(self, bad):
+        # a float counter would be truncated (or turned into garbage past
+        # 2**63) instead of addressing the draw it names
+        for call in (lambda: mix64(bad), lambda: draw_u64(bad, 0), lambda: draw_unit(0, bad)):
+            with pytest.raises(TypeError, match="integers"):
+                call()
+
+
+INV_2_53 = float(2.0**-53)
+
+
+def old_unit(bits_u64):
+    # the one-expression conversions the in-place code replaced
+    return (bits_u64 >> np.uint64(11)).astype(np.float64) * INV_2_53
+
+
+def old_unit_open(bits_u64):
+    return ((bits_u64 >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * INV_2_53
+
+
+class TestInPlaceDraws:
+    N = 200_000
+
+    @pytest.mark.parametrize(
+        "counters",
+        [np.arange(-100_000, 100_000), np.arange(2**63 - 1000, 2**63 + 1000, dtype=np.uint64)],
+        ids=["int64", "uint64"],
+    )
+    @pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**64 - 1])
+    def test_same_bits_as_the_old_expressions(self, seed, counters):
+        raw = draw_u64(seed, counters)
+        assert bits(draw_unit(seed, counters)) == bits(old_unit(raw))
+        assert bits(draw_unit_open(seed, counters)) == bits(old_unit_open(raw))
+        seeds = raw[:1000]
+        assert bits(draw_unit(seeds, 7)) == bits(old_unit(draw_u64(seeds, 7)))
+
+    def test_caller_arrays_untouched(self):
+        for counters in (np.arange(-50, 50), np.arange(100, dtype=np.uint64)):
+            before = counters.copy()
+            for fn in DRAWS:
+                fn(9, counters)
+                fn(counters, 3)
+                fn(counters, counters)
+            mix64(counters)
+            assert np.array_equal(counters, before) and counters.dtype == before.dtype
+
+    @pytest.mark.parametrize("fn", [draw_u64, draw_unit, draw_unit_open], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("as_seed", [False, True], ids=["counters", "seeds"])
+    def test_peak_is_two_draw_sized_arrays(self, fn, as_seed):
+        # the result plus one temporary; the old code held three at its peak
+        values = np.arange(self.N, dtype=np.uint64 if as_seed else np.int64)
+        tracemalloc.start()
+        try:
+            out = fn(values, 0) if as_seed else fn(5, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (self.N,)
+        assert peak <= 2 * 8 * self.N + 256 * 1024
