@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -42,27 +42,12 @@ from .measure_solution import (
 )
 from .path_space import Window, shift_path
 from .random_measure import CylinderSet, StatReport
-from .recurrence import NoiseModel, advance, update_map_from_name
+from .recurrence import NoiseModel, iterate_forward, update_map_from_name
 from .seeds import PRNG_NAME, draw_u64, draw_unit, substream
 
 HOPF_TOLERANCE = 1e-9
 
 _U64 = 0xFFFFFFFFFFFFFFFF
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance block embedded in every report file."""
-
-    command: str
-    parameters: dict
-    master_seed: int
-    artifact_version: str
-    started_at: str
-    finished_at: str
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _utc_now() -> str:
@@ -77,17 +62,18 @@ def _shift_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
 
-def _finish_manifest(command: str, args, params: dict, started: str) -> RunManifest:
+def _finish_manifest(command: str, args, params: dict, started: str) -> dict:
+    """The provenance block embedded in every report file."""
     params = {key: str(value) for key, value in params.items()}
     params["prng"] = PRNG_NAME
-    return RunManifest(
-        command=command,
-        parameters=params,
-        master_seed=args.seed,
-        artifact_version=__version__,
-        started_at=started,
-        finished_at=_utc_now(),
-    )
+    return {
+        "command": command,
+        "parameters": params,
+        "master_seed": args.seed,
+        "artifact_version": __version__,
+        "started_at": started,
+        "finished_at": _utc_now(),
+    }
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -101,10 +87,10 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write(text + "\n")
 
 
-def _write_csv(path: str, manifest: RunManifest, header: str, rows) -> None:
+def _write_csv(path: str, manifest: dict, header: str, rows) -> None:
     """A CSV report: the manifest as a comment line, the header, then ``rows``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# manifest: " + json.dumps(manifest.as_dict(), sort_keys=True) + "\n")
+        fh.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
         fh.write(header + "\n")
         fh.writelines(rows)
 
@@ -114,21 +100,15 @@ def cmd_simulate(args) -> int:
     if args.steps < 1:
         raise ValueError("steps must be at least 1")
     started = _utc_now()
-    noise = NoiseModel(law="uniform", seed=substream(args.seed, "simulate-noise")).window(
-        1, args.steps
-    )
+    noise = NoiseModel(seed=substream(args.seed, "simulate-noise")).window(1, args.steps)
     x0 = float(draw_unit(substream(args.seed, "simulate-init"), 0))
-    path = np.empty(args.steps + 1)
-    path[0] = x0
-    xis = noise.values.tolist()
-    advance(update_map.apply, x0, xis, out=path[1:])
-    # Python floats step off numpy scalars and repr as the shortest
-    # round-trip decimal; rebinding frees them before the rows are built
-    xis = ["", *map(repr, xis)]
+    path = iterate_forward(x0, noise, update_map)
+    # Python floats repr as the shortest round-trip decimal
+    xis = ["", *map(repr, noise.values.tolist())]
     manifest = _finish_manifest(
         "simulate", args, {"map": args.map_name, "steps": args.steps}, started
     )
-    rows = (f"{i},{x!r},{xi}\n" for i, (x, xi) in enumerate(zip(path.tolist(), xis)))
+    rows = (f"{i},{x!r},{xi}\n" for i, (x, xi) in enumerate(zip(path.values.tolist(), xis)))
     _write_csv(args.out, manifest, "index,x,xi", rows)
     return 0
 
@@ -147,9 +127,7 @@ def cmd_hopf_check(args) -> int:
         window=window,
         init_seed_stream=substream(args.seed, "hopf-init"),
     )
-    noise = NoiseModel(law="uniform", seed=substream(args.seed, "hopf-noise")).window(
-        1, args.window - 1
-    )
+    noise = NoiseModel(seed=substream(args.seed, "hopf-noise")).window(1, args.window - 1)
     mu = conditional_measure(builder, noise)
     if args.perturb:
         mu = perturb_last_coordinate(mu, substream(args.seed, "hopf-perturb"))
@@ -174,7 +152,7 @@ def cmd_hopf_check(args) -> int:
     _write_json(
         args.out,
         {
-            "manifest": manifest.as_dict(),
+            "manifest": manifest,
             "tolerance": HOPF_TOLERANCE,
             "max_residual": max_residual,
             "passed": passed,
@@ -250,6 +228,7 @@ def _diagnose_conditional_law(args) -> list[StatReport]:
     shift_config = replace(config, particle_count=min(200, config.particle_count))
     sampler = gaussian_pair_sampler(args.rho, args.a, shift_config)
 
+    # side b replica r is side a replica r shifted, so the KS samples are not independent
     def shifted(r: int):
         return shift_path(sampler(r), 1)
 
@@ -357,7 +336,7 @@ def cmd_diagnose(args) -> int:
     _write_json(
         args.out,
         {
-            "manifest": manifest.as_dict(),
+            "manifest": manifest,
             "passed": passed,
             "reports": [r.as_dict() for r in reports],
         },

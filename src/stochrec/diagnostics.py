@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _ks as _sps  # perfbench/spans.py traces KS calls through this name
 from .errors import CoverageError
-from .measure_solution import MeasureBuilder, conditional_measure_sampler
+from .measure_solution import MeasureBuilder, conditional_measure, conditional_measure_sampler
 from .path_space import shift_path
 from .random_measure import (
     CylinderSet,
@@ -33,7 +33,7 @@ from .random_measure import (
     distributions_equal,
     ks_one_sample_threshold,
 )
-from .recurrence import UpdateMap, advance, fractional_map
+from .recurrence import NoiseModel, UpdateMap, advance, fractional_map
 from .seeds import counter_range, draw_normal, draw_u64, draw_unit, substream
 
 __all__ = [
@@ -92,25 +92,6 @@ class DiagnosticsConfig:
             raise ValueError(f"window must satisfy lo < hi, got {self.window}")
 
 
-def _chain_endpoint(
-    update_map: UpdateMap,
-    init_seeds: np.ndarray,
-    noise_seeds,
-    start: int,
-    end: int,
-) -> np.ndarray:
-    """State at index ``end`` for a batch of seeded runs.
-
-    Run ``r`` starts at index ``start`` from the first uniform of
-    ``init_seeds[r]`` and consumes noise values addressed by absolute index
-    from ``noise_seeds`` (one seed per run, or one scalar seed frozen across
-    the whole batch).  Matches running ``stationary_sampler`` per run with
-    the corresponding noise window, vectorized.
-    """
-    noise = (draw_unit(noise_seeds, k) for k in range(start + 1, end + 1))
-    return advance(update_map.apply, draw_unit(init_seeds, 0), noise)
-
-
 def tsirelson_samples(
     config: DiagnosticsConfig,
     n: int,
@@ -119,8 +100,12 @@ def tsirelson_samples(
 ) -> np.ndarray:
     """Coordinate ``n`` of ``sample_size`` independent runs, one per replica.
 
-    This is the raw data behind :func:`tsirelson_statistic`; it can be dumped
-    for external plotting.
+    Run ``r`` starts at the window's left edge from the first uniform of its
+    own initializer seed and steps through noise drawn from its own noise
+    seed, so no two runs share noise (unlike the frozen-noise ensembles of
+    :func:`conditional_char_statistic`).  All runs advance together, one
+    noise index at a time.  This is the raw data behind
+    :func:`tsirelson_statistic`; it can be dumped for external plotting.
     """
     update_map = update_map if update_map is not None else fractional_map()
     lo, hi = config.window
@@ -129,7 +114,8 @@ def tsirelson_samples(
     replicas = np.arange(config.sample_size)
     init_seeds = draw_u64(substream(config.seed, "tsirelson-init"), replicas)
     noise_seeds = draw_u64(substream(config.seed, "tsirelson-noise"), replicas)
-    return _chain_endpoint(update_map, init_seeds, noise_seeds, lo, n)
+    noise = (draw_unit(noise_seeds, k) for k in range(lo + 1, n + 1))
+    return advance(update_map.apply, draw_unit(init_seeds, 0), noise)
 
 
 def tsirelson_statistic(
@@ -166,12 +152,14 @@ def conditional_char_statistic(
 ) -> StatReport:
     """Largest conditional characteristic value over several frozen noises.
 
-    For each frozen noise path, averages ``exp(2*pi*i*x_n)`` over
-    ``particle_count`` initializer draws (the integral of the conditional
-    particle measure against that function) and takes the maximum modulus
-    over paths.  For the fractional map the conditional mean is exactly zero
-    in population; for a contracting map the ensemble collapses and the
-    modulus approaches one, the strong-solution contrast.
+    For each frozen noise path, builds the conditional particle measure of
+    ``particle_count`` initializers on the whole window with
+    :func:`~stochrec.measure_solution.conditional_measure`, averages
+    ``exp(2*pi*i*x_n)`` over its column ``n`` (the measure's integral of that
+    function) and takes the maximum modulus over paths.  For the fractional
+    map the conditional mean is exactly zero in population; for a contracting
+    map the ensemble collapses and the modulus approaches one, the
+    strong-solution contrast.
     """
     update_map = update_map if update_map is not None else fractional_map()
     lo, hi = config.window
@@ -181,12 +169,14 @@ def conditional_char_statistic(
         raise ValueError("noise_paths must be positive")
     init_root = substream(config.seed, "cond-char-init")
     noise_root = substream(config.seed, "cond-char-noise")
-    particle_indices = np.arange(config.particle_count)
 
     def path_modulus(p: int) -> float:
-        # one frozen noise seed per path, shared by the whole ensemble
-        init_seeds = draw_u64(int(draw_u64(init_root, p)), particle_indices)
-        x = _chain_endpoint(update_map, init_seeds, int(draw_u64(noise_root, p)), lo, n)
+        # the whole window, since a builder refuses lo == hi and n == lo is valid
+        builder = MeasureBuilder(
+            update_map, config.particle_count, config.window, int(draw_u64(init_root, p))
+        )
+        noise = NoiseModel(seed=int(draw_u64(noise_root, p))).window(lo + 1, hi - lo)
+        x = conditional_measure(builder, noise).column(n)
         return abs(complex(np.mean(np.exp((2j * np.pi) * x))))
 
     moduli = [path_modulus(p) for p in range(noise_paths)]

@@ -62,10 +62,6 @@ class Window:
         return self.values.shape[-1]
 
     @property
-    def first_index(self) -> int:
-        return self.offset
-
-    @property
     def last_index(self) -> int:
         return self.offset + len(self) - 1
 

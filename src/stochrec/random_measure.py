@@ -8,7 +8,6 @@ rectangles, and a statistical test for equality in distribution of two
 measure-valued samplers.
 """
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
@@ -117,9 +116,6 @@ class StatReport:
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
 
 
 def integrate(mu: ParticleMeasure, values: np.ndarray):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CoverageError, InverseUnavailableError
 from .path_space import Window
-from .seeds import counter_range, draw_normal, draw_u64, draw_unit
+from .seeds import counter_range, draw_u64, draw_unit
 
 __all__ = [
     "UpdateMap",
@@ -103,35 +103,26 @@ def update_map_from_name(text: str) -> UpdateMap:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """An i.i.d. noise source addressed by absolute sequence index.
+    """Uniform i.i.d. noise on [0, 1), addressed by absolute sequence index.
 
-    ``law`` is ``"uniform"`` (on [0, 1)) or ``"normal"``.  The value at index
-    ``i`` is a pure function of ``(seed, i)``, so overlapping windows agree
-    and windows can be generated for any index range in any order.
+    The value at index ``i`` is ``draw_unit(seed, i)``, a pure function of
+    ``(seed, i)``, so overlapping windows agree and windows can be generated
+    for any index range in any order.
     """
 
-    law: str = "uniform"
     seed: int = 0
-
-    def __post_init__(self):
-        if self.law not in ("uniform", "normal"):
-            raise ValueError(f"unknown noise law {self.law!r}")
 
     def window(self, first_index: int, length: int) -> Window:
         """Noise values at absolute indices ``first_index .. first_index+length-1``."""
         if length < 1:
             raise ValueError("noise window length must be positive")
-        counters = counter_range(first_index, length)
-        if self.law == "uniform":
-            values = draw_unit(self.seed, counters)
-        else:
-            values = draw_normal(self.seed, counters)
+        values = draw_unit(self.seed, counter_range(first_index, length))
         values.setflags(write=False)
         return Window(offset=first_index, values=values)
 
     def substream(self, index: int) -> "NoiseModel":
-        """An independent child model for replica ``index`` (same law)."""
-        return NoiseModel(self.law, int(draw_u64(self.seed, index)))
+        """An independent child model for replica ``index``."""
+        return NoiseModel(int(draw_u64(self.seed, index)))
 
 
 def advance(step: Callable, x, noise_values, out: np.ndarray | None = None):

@@ -167,10 +167,19 @@ def draw_normal(seed, counters):
     """Standard normal draws via Box-Muller on two internal substreams.
 
     One normal per counter; the sine partner is discarded so that values are
-    pure functions of ``(seed, counter)``.
+    pure functions of ``(seed, counter)``.  The transform
+    ``sqrt(-2 log u1) * cos(2 pi u2)`` runs in place in ``u1`` and ``u2``
+    (scalars as 0-d arrays), so an array draw holds three draw-sized arrays
+    at its peak: ``u1``, ``u2`` and the temporary of drawing ``u2``.
     """
     s = _as_u64(seed)
     mix = _mix if isinstance(s, int) else _mix_array
-    u1 = draw_unit_open(mix(s ^ _NORMAL_R_SALT), counters)
-    u2 = draw_unit(mix(s ^ _NORMAL_T_SALT), counters)
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos((2.0 * np.pi) * u2)
+    u1 = np.asarray(draw_unit_open(mix(s ^ _NORMAL_R_SALT), counters))
+    u2 = np.asarray(draw_unit(mix(s ^ _NORMAL_T_SALT), counters))
+    np.log(u1, out=u1)
+    u1 *= -2.0
+    np.sqrt(u1, out=u1)
+    u2 *= 2.0 * np.pi
+    np.cos(u2, out=u2)
+    u1 *= u2
+    return u1[()]

@@ -195,6 +195,40 @@ class TestGoldenPayloads:
         assert main(["diagnose", *extra, "--seed", "3", "--out", str(out)]) == 0
         assert self.digest(out) == digest
 
+    TSIRELSON = ["diagnose", "tsirelson", "--n", "2000", "--particles", "500", "--seed", "3"]
+
+    @pytest.mark.parametrize(
+        "extra, digest, raw_digest",
+        [
+            (
+                [],
+                "fc7a2555515420490cb3c6306e3bb66b33e89dc9b47a4b93a535a2ce7e11a389",
+                "13b123645622a0b865f9f309d9e95a750193614c7a0a4c4457fd088a5b127de8",
+            ),
+            (
+                ["--index", "0"],
+                "49c32437e65905d2efc3cc5a4209181a347378f746423411f4368b10d90d0227",
+                "678b6c5a36c8bcde8a82487d20adc2d7ca4f7e379f0f31b983e2decfdead7057",
+            ),
+        ],
+    )
+    def test_tsirelson_payload(self, tmp_path, extra, digest, raw_digest):
+        # --raw-out is a recorded parameter, so the report is pinned from a
+        # run without it and the raw CSV from a second run
+        out, raw = tmp_path / "ts.json", tmp_path / "raw.csv"
+        assert main(self.TSIRELSON + extra + ["--out", str(out)]) == 0
+        assert self.digest(out) == digest
+        args = self.TSIRELSON + extra + ["--out", str(tmp_path / "ts2.json")]
+        assert main(args + ["--raw-out", str(raw)]) == 0
+        assert self.digest(raw) == raw_digest
+
+    def test_rotation_payload(self, tmp_path):
+        out = tmp_path / "rot.json"
+        assert main(["diagnose", "rotation", "--n", "20000", "--seed", "3", "--out", str(out)]) == 0
+        assert self.digest(out) == (
+            "2e1dd61043fc8c5548ea464fbf4e5f912b36ffc7d918d1c8640cae5eed5551b1"
+        )
+
 
 class TestDiagnose:
     def test_unknown_suite_exit_2(self, capsys):

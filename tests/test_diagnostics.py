@@ -24,7 +24,7 @@ from stochrec.measure_solution import MeasureBuilder, conditional_measure
 from stochrec.path_space import shift_path
 from stochrec.random_measure import CylinderSet, distributions_equal, integrate
 from stochrec.recurrence import NoiseModel, contraction_map, fractional_map, stationary_sampler
-from stochrec.seeds import draw_normal, draw_u64, substream
+from stochrec.seeds import draw_normal, draw_u64, draw_unit, substream
 
 
 def config(**kw):
@@ -47,6 +47,22 @@ def reference_gaussian_path(a, seed, lo, hi):
     for j, k in enumerate(range(lo + 1, hi + 1)):
         y[j + 1] = a * y[j] + scale * float(draw_normal(innov_stream, k))
     return y
+
+
+def reference_char_statistic(cfg, n, update_map, noise_paths):
+    """The frozen-noise statistic stepped one scalar noise draw at a time."""
+    lo, _ = cfg.window
+    init_root = substream(cfg.seed, "cond-char-init")
+    noise_root = substream(cfg.seed, "cond-char-noise")
+    moduli = []
+    for p in range(noise_paths):
+        init_seeds = draw_u64(int(draw_u64(init_root, p)), np.arange(cfg.particle_count))
+        noise_seed = int(draw_u64(noise_root, p))
+        x = draw_unit(init_seeds, 0)
+        for k in range(lo + 1, n + 1):
+            x = update_map.apply(x, draw_unit(noise_seed, k))
+        moduli.append(abs(complex(np.mean(np.exp((2j * np.pi) * x)))))
+    return max(moduli)
 
 
 def int_bits(values):
@@ -190,43 +206,27 @@ class TestConditionalCharStatistic:
         report = conditional_char_statistic(cfg, 5)
         assert report.statistic == pytest.approx(max(moduli), abs=1e-12)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
         seed=seeds,
         update_map=maps,
         lo=st.integers(-4, 4),
+        length=st.integers(1, 8),
         particles=st.integers(1, 64),
         data=st.data(),
     )
     def test_path_ensembles_match_conditional_measure(
-        self, seed, update_map, lo, particles, data
+        self, seed, update_map, lo, length, particles, data
     ):
-        # each frozen-noise ensemble equals the measure route's column, bit for bit
-        hi = lo + 8
-        n = data.draw(st.integers(lo + 1, hi))
+        # the measure route gives the statistic of the frozen-noise chain
+        # route, bit for bit, at every index of the window, its left edge
+        # included
+        hi = lo + length
+        n = data.draw(st.integers(lo, hi))
         cfg = config(particle_count=particles, seed=seed, window=(lo, hi))
-        ensembles = []
-        endpoint = diagnostics._chain_endpoint
-
-        def recording(*args):
-            ensembles.append(endpoint(*args))
-            return ensembles[-1]
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(diagnostics, "_chain_endpoint", recording)
-            conditional_char_statistic(cfg, n, update_map=update_map, noise_paths=3)
-        init_root = substream(seed, "cond-char-init")
-        noise_root = substream(seed, "cond-char-noise")
-        assert len(ensembles) == 3
-        for p, x in enumerate(ensembles):
-            builder = MeasureBuilder(
-                update_map=update_map,
-                particle_count=particles,
-                window=cfg.window,
-                init_seed_stream=int(draw_u64(init_root, p)),
-            )
-            noise = NoiseModel(seed=int(draw_u64(noise_root, p))).window(lo + 1, hi - lo)
-            assert np.array_equal(x, conditional_measure(builder, noise).column(n))
+        report = conditional_char_statistic(cfg, n, update_map=update_map, noise_paths=3)
+        want = reference_char_statistic(cfg, n, update_map, noise_paths=3)
+        assert int_bits([report.statistic]) == int_bits([want])
 
 
 class TestStationaritySuite:

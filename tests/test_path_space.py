@@ -30,7 +30,7 @@ class TestWindows:
         p = Window(offset=-2, values=(10.0, 11.0, 12.0))
         assert p.coordinate(-2) == 10.0
         assert p.coordinate(0) == 12.0
-        assert p.first_index == -2 and p.last_index == 0
+        assert p.offset == -2 and p.last_index == 0
         with pytest.raises(CoverageError):
             p.coordinate(1)
 
@@ -105,7 +105,7 @@ class TestSpan:
         # leading axes ride along: a matrix is one path per row
         rows = np.arange(12.0).reshape(3, 4)
         w = Window(offset=5, values=rows)
-        assert len(w) == 4 and w.first_index == 5 and w.last_index == 8
+        assert len(w) == 4 and w.offset == 5 and w.last_index == 8
         assert np.array_equal(w.span(6, 7), rows[:, 1:3])
         assert np.array_equal(w.coordinate(8), rows[:, 3])
         assert truncate_path(w, 6).values.tolist() == [[r[0], r[1], r[1], r[1]] for r in rows]

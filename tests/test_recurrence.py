@@ -18,7 +18,7 @@ from stochrec.recurrence import (
     stationary_sampler,
     update_map_from_name,
 )
-from stochrec.seeds import draw_normal, draw_unit, substream
+from stochrec.seeds import counter_range, draw_normal, draw_unit, substream
 
 unit = st.floats(0.0, 1.0, exclude_max=True, allow_nan=False)
 
@@ -292,15 +292,6 @@ class TestNoiseModel:
         b = model.substream(1).window(1, 8).values
         assert not np.array_equal(a, b)
 
-    def test_normal_law(self):
-        values = np.asarray(NoiseModel(law="normal", seed=3).window(0, 4000).values)
-        assert abs(values.mean()) < 0.1
-        assert abs(values.std() - 1.0) < 0.1
-
-    def test_unknown_law(self):
-        with pytest.raises(ValueError):
-            NoiseModel(law="cauchy", seed=1)
-
     def test_determinism(self):
         assert NoiseModel(seed=9).window(2, 6) == NoiseModel(seed=9).window(2, 6)
 
@@ -309,12 +300,17 @@ class TestNoiseModel:
         "first", [2**63 - 3, 2**63, 2**63 + 5, -(2**63) - 3, -(2**63), -2, 2**64 - 3]
     )
     def test_window_counters_wrap_modulo_2_64(self, law, draw, first):
-        # a window starting at or crossing +-2**63 (or 2**64) reads the same
-        # values as the per-index scalar draws
-        window = NoiseModel(law=law, seed=7).window(first, 6)
+        # the counters of a window starting at or crossing +-2**63 (or 2**64)
+        # wrap: an array draw of either law over them (uniform noise, normal
+        # AR(1) innovations) reads the per-index scalar draws, and the noise
+        # window is the uniform one
+        counters = counter_range(first, 6)
+        want = np.array([draw(7, k) for k in range(first, first + 6)])
+        got = draw(7, counters)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), law
+        window = NoiseModel(seed=7).window(first, 6)
         assert window.offset == first and window.last_index == first + 5
-        want = [draw(7, k) for k in range(first, first + 6)]
-        assert window.values.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+        assert window == Window(first, draw_unit(7, counters))
 
 
 class TestStationarySampler:

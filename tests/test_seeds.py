@@ -276,3 +276,30 @@ class TestInPlaceDraws:
             tracemalloc.stop()
         assert out.shape == (self.N,)
         assert peak <= 2 * 8 * self.N + 256 * 1024
+
+    def test_normal_peak_is_three_draw_sized_arrays(self):
+        # u1, u2 and the temporary of drawing u2; the old out-of-place
+        # transform held five
+        counters = np.arange(self.N)
+        tracemalloc.start()
+        try:
+            out = draw_normal(5, counters)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (self.N,)
+        assert peak <= 3 * 8 * self.N + 256 * 1024
+
+    @pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**64 - 1])
+    def test_normal_same_bits_as_the_old_expression(self, seed):
+        def old_normal(counters):
+            u1 = draw_unit_open(mix64(seed ^ fnv1a64("normal-radius")), counters)
+            u2 = draw_unit(mix64(seed ^ fnv1a64("normal-angle")), counters)
+            return np.sqrt(-2.0 * np.log(u1)) * np.cos((2.0 * np.pi) * u2)
+
+        counters = np.arange(2**63 - 1000, 2**63 + 1000, dtype=np.uint64)
+        assert bits(draw_normal(seed, counters)) == bits(old_normal(counters))
+        for k in (-(2**63), -1, 0, 1, 2**63 - 1, 2**64 - 1):
+            value = draw_normal(seed, k)
+            assert type(value) is np.float64
+            assert bits(value) == bits(old_normal(k))
