@@ -251,6 +251,15 @@ def _diagnose_conditional_law(args) -> list[StatReport]:
     return reports
 
 
+def _failure_fraction(name: str, checks: list[bool], seed: int) -> list[StatReport]:
+    """An exact property checked ``len(checks)`` times: the failing share, which must be 0."""
+    count = len(checks)
+    report = StatReport.from_statistic(
+        name, checks.count(False) / count, threshold=0.0, sample_size=count, seed=seed
+    )
+    return [report]
+
+
 def _diagnose_consistency(args) -> list[StatReport]:
     if args.pairs < 1:
         raise ValueError("pairs must be at least 1")
@@ -264,7 +273,7 @@ def _diagnose_consistency(args) -> list[StatReport]:
     split = (lo + hi) // 2
     past_root = substream(args.seed, "consistency-past")
     future_root = substream(args.seed, "consistency-future")
-    failures = 0
+    checks = []
     for pair in range(args.pairs):
         past = NoiseModel(seed=int(draw_u64(past_root, pair))).window(lo + 1, split - lo)
         fut_a = NoiseModel(seed=int(draw_u64(future_root, 2 * pair))).window(
@@ -275,17 +284,8 @@ def _diagnose_consistency(args) -> list[StatReport]:
         )
         noise_a = Window(offset=lo + 1, values=np.concatenate([past.values, fut_a.values]))
         noise_b = Window(offset=lo + 1, values=np.concatenate([past.values, fut_b.values]))
-        if not consistency_check(builder, noise_a, noise_b, split):
-            failures += 1
-    return [
-        StatReport.from_statistic(
-            test_name="consistency",
-            statistic=failures / args.pairs,
-            threshold=0.0,
-            sample_size=args.pairs,
-            seed=args.seed,
-        )
-    ]
+        checks.append(consistency_check(builder, noise_a, noise_b, split))
+    return _failure_fraction("consistency", checks, args.seed)
 
 
 def _diagnose_equivariance(args) -> list[StatReport]:
@@ -296,18 +296,8 @@ def _diagnose_equivariance(args) -> list[StatReport]:
     builder = _builder(args)
     lo, hi = builder.window
     noise = NoiseModel(seed=substream(args.seed, "equivariance-noise")).window(lo + 1, hi - lo)
-    failures = sum(
-        0 if shift_equivariance_check(builder, noise, t) else 1 for t in args.shifts
-    )
-    return [
-        StatReport.from_statistic(
-            test_name="equivariance",
-            statistic=failures / len(args.shifts),
-            threshold=0.0,
-            sample_size=len(args.shifts),
-            seed=args.seed,
-        )
-    ]
+    checks = [shift_equivariance_check(builder, noise, t) for t in args.shifts]
+    return _failure_fraction("equivariance", checks, args.seed)
 
 
 _SUITES = {

@@ -8,6 +8,7 @@ is ``values[..., i - offset]``.  :meth:`Window.span` is the one checked
 slice by absolute index.
 """
 
+from copy import copy
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -112,11 +113,13 @@ class TrajMetric(NamedTuple):
 def shift_path(p: Window, t: int) -> Window:
     """Translate a window by ``t``: the result at index ``i`` is ``p`` at ``i + t``.
 
-    The result has the type of ``p`` and shares its values; only the offset
-    moves.  Paths, noise windows and particle measures (the pushforward
-    under the path translation) shift by the same convention.
+    The result has the type of ``p`` and shares its values, which are not
+    checked again; only the offset moves.  Paths, noise windows and particle
+    measures (the pushforward under the path translation) shift alike.
     """
-    return replace(p, offset=p.offset - t)
+    shifted = copy(p)
+    object.__setattr__(shifted, "offset", int(p.offset - t))
+    return shifted
 
 
 def truncate_path(p: Window, t: int) -> Window:

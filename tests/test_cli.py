@@ -152,10 +152,27 @@ class TestGoldenPayloads:
         ],
     )
     def test_hopf_check_payload(self, tmp_path, extra, code, digest):
+        assert self.hopf_digest(tmp_path, "fractional", extra, code) == digest
+
+    @pytest.mark.parametrize(
+        "extra, code, digest",
+        [
+            ([], 0, "be42834b14a87fa54075b19bd8f6e46badf8a030203471462fd569025bfeb92e"),
+            (
+                ["--perturb"],
+                1,
+                "f8ada01782f13d6d16a0ef3f417a9bc8da913d6533ac74e9f806bc0d11c9e0b9",
+            ),
+        ],
+    )
+    def test_hopf_check_contraction_payload(self, tmp_path, extra, code, digest):
+        assert self.hopf_digest(tmp_path, "contraction:a=0.5", extra, code) == digest
+
+    def hopf_digest(self, tmp_path, map_name, extra, code) -> str:
         out = tmp_path / "hopf.json"
-        args = ["hopf-check", "fractional", "--particles", "1000", "--window", "8", "--seed", "3"]
+        args = ["hopf-check", map_name, "--particles", "1000", "--window", "8", "--seed", "3"]
         assert main(args + extra + ["--out", str(out)]) == code
-        assert self.digest(out) == digest
+        return self.digest(out)
 
     @pytest.mark.parametrize(
         "map_name, digest",
@@ -188,6 +205,7 @@ class TestGoldenPayloads:
                 "38816b793f4c6dea69b8978508321afe5b21e40eb007c4a5b55ee28b65544a0f",
             ),
             (["equivariance"], "f697b60bf39f0b4f907e432ae717158807959c995129d1c73a98ce3ef48d3e1e"),
+            (["consistency"], "71589bb29b29a226966d127fd314ee4efe8915da121f2f39fba92fde9a0c363f"),
         ],
     )
     def test_diagnose_payload(self, tmp_path, extra, digest):

@@ -310,6 +310,23 @@ def read_only(matrix):
     return matrix
 
 
+def report_bits(mu, noise, spec, update_map):
+    report = residual_report(mu, noise, spec, update_map)
+    return bits(*[report[k] for k in ("lhs_re", "lhs_im", "rhs_re", "rhs_im", "residual")])
+
+
+def two_sided_bits(mu, noise, spec, update_map):
+    # both integrals computed, whatever the measure
+    lhs, rhs = hopf_lhs(mu, spec), hopf_rhs(mu, noise, spec, update_map)
+    return bits(lhs, rhs, abs(lhs - rhs))
+
+
+def edited(mu, particle, index, value):
+    values = mu.values.copy(order="F")
+    values[particle, index - mu.offset] = value
+    return ParticleMeasure(mu.offset, values)
+
+
 class TestPhaseFold:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -344,9 +361,8 @@ class TestPhaseFold:
             lhs, rhs = row_sum_lhs(mu, spec), row_sum_rhs(mu, noise, spec, update_map)
             assert bits(hopf_lhs(mu, spec)) == bits(lhs)
             assert bits(hopf_rhs(mu, noise, spec, update_map)) == bits(rhs)
-            report = residual_report(mu, noise, spec, update_map)
-            got = [report[k] for k in ("lhs_re", "lhs_im", "rhs_re", "rhs_im", "residual")]
-            assert bits(*got) == bits(lhs, rhs, abs(lhs - rhs))
+            assert report_bits(mu, noise, spec, update_map) == bits(lhs, rhs, abs(lhs - rhs))
+            assert bits(hopf_residual(mu, noise, spec, update_map)) == bits(abs(lhs - rhs))
 
     def test_signed_zero(self):
         # a zero column with a -0.0 frequency and rho = 0.0: the fold starts from
@@ -379,6 +395,79 @@ class TestPhaseFold:
         for m in range(1, 13):
             spec = CharSpec(n=0, m=m, lambdas=tuple(freqs[:m]), rho=float(freqs[m]))
             assert hopf_residual(mu, noise, spec, update_map) == 0.0
+
+
+class TestHopfShortcut:
+    """The right side's integral is skipped only when it must equal the left's."""
+
+    WINDOW = (0, 10)
+
+    def construct(self, update_map):
+        builder = make_builder(particles=200, window=self.WINDOW, update_map=update_map)
+        noise = make_noise(window=self.WINDOW)
+        specs = char_spec_grid(self.WINDOW) + random_char_specs(self.WINDOW, 8, seed=11)
+        return conditional_measure(builder, noise), noise, specs
+
+    @pytest.fixture
+    def integrals(self, monkeypatch):
+        calls = []
+        plain = measure_solution._char_integral
+
+        def counted(mu, phases):
+            calls.append(len(phases))
+            return plain(mu, phases)
+
+        monkeypatch.setattr(measure_solution, "_char_integral", counted)
+        return calls
+
+    @pytest.mark.parametrize("update_map", [fractional_map(), contraction_map(0.5)])
+    def test_one_ulp_off_matches_two_sided(self, update_map, integrals):
+        mu, noise, specs = self.construct(update_map)
+        for spec in specs:
+            last = spec.n + spec.m + 1
+            nudged = edited(mu, 7, last, np.nextafter(mu.column(last)[7], np.inf))
+            expected = two_sided_bits(nudged, noise, spec, update_map)
+            del integrals[:]
+            assert report_bits(nudged, noise, spec, update_map) == expected
+            assert bits(hopf_residual(nudged, noise, spec, update_map)) == expected[-1:]
+            assert len(integrals) == 4
+
+    def test_negative_zero_where_the_map_gives_positive_zero(self, integrals):
+        # contraction 0.5 at u = -2 xi gives -xi + xi = +0.0; the stored -0.0
+        # equals it as a value but not as bits, so both sides are integrated
+        update_map = contraction_map(0.5)
+        mu, noise, specs = self.construct(update_map)
+        for spec in specs:
+            last = spec.n + spec.m + 1
+            xi = noise.coordinate(last)
+            zeroed = edited(edited(mu, 3, last - 1, -2.0 * xi), 3, last, -0.0)
+            stepped = update_map.apply(zeroed.column(last - 1), xi)
+            assert bits(float(stepped[3]), zeroed.column(last)[3]) == bits(0.0, -0.0)
+            expected = two_sided_bits(zeroed, noise, spec, update_map)
+            del integrals[:]
+            assert report_bits(zeroed, noise, spec, update_map) == expected
+            assert bits(hopf_residual(zeroed, noise, spec, update_map)) == expected[-1:]
+            assert len(integrals) == 4
+
+    @pytest.mark.parametrize("update_map", [fractional_map(), contraction_map(0.5)])
+    def test_one_integral_per_probe_on_a_construction(self, update_map, integrals):
+        mu, noise, specs = self.construct(update_map)
+        for spec in specs:
+            del integrals[:]
+            residual_report(mu, noise, spec, update_map)
+            hopf_residual(mu, noise, spec, update_map)
+            assert integrals == [mu.particle_count] * 2
+
+    def test_perturbed_last_column_needs_both_integrals(self, integrals):
+        update_map = fractional_map()
+        mu, noise, specs = self.construct(update_map)
+        mu = perturb_last_coordinate(mu, seed=5)
+        reads_last = [spec.n + spec.m + 1 == self.WINDOW[1] for spec in specs]
+        assert any(reads_last) and not all(reads_last)
+        for spec, last in zip(specs, reads_last):
+            del integrals[:]
+            residual_report(mu, noise, spec, update_map)
+            assert len(integrals) == (2 if last else 1)
 
 
 class TestLayout:
@@ -489,6 +578,24 @@ class TestShiftEquivariance:
     def test_contraction_shift(self):
         builder = make_builder(update_map=contraction_map(0.5))
         assert shift_equivariance_check(builder, make_noise(), 2)
+
+    def test_one_ulp_off_fails_at_the_default(self, monkeypatch):
+        # the default compares exactly; criterion 03's atol=1e-12 forgives an ulp
+        exact_shift = measure_solution.shift_path
+
+        def nudged_shift(p, t):
+            shifted = exact_shift(p, t)
+            if not isinstance(shifted, ParticleMeasure):
+                return shifted
+            values = shifted.values.copy()
+            values[5, -1] = np.nextafter(values[5, -1], np.inf)
+            return ParticleMeasure(shifted.offset, values)
+
+        builder, noise = make_builder(), make_noise()
+        assert shift_equivariance_check(builder, noise, 2)
+        monkeypatch.setattr(measure_solution, "shift_path", nudged_shift)
+        assert not shift_equivariance_check(builder, noise, 2)
+        assert shift_equivariance_check(builder, noise, 2, atol=1e-12)
 
     def test_mismatched_initializer_seeds_break_identity(self):
         builder = make_builder()

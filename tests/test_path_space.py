@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from stochrec.path_space import (
     traj_metric,
     truncate_path,
 )
+from stochrec.random_measure import ParticleMeasure
 
 
 def grid_function(values_fn, lo=-25, hi=25):
@@ -142,6 +144,26 @@ class TestShift:
         n = Window(offset=1, values=(0.5, 0.25))
         m = shift_path(n, 2)
         assert m.offset == -1 and np.array_equal(m.values, n.values)
+
+    @pytest.mark.parametrize("kind", [Window, ParticleMeasure])
+    def test_no_revalidation(self, kind):
+        # the source was checked when it was built: shifting a 20,000 x 16
+        # matrix allocates no finiteness mask (2.5 MB values, 320 kB mask)
+        values = np.random.default_rng(0).random((20_000, 16))
+        values.setflags(write=False)
+        p = kind(offset=0, values=values)
+        tracemalloc.start()
+        try:
+            q = shift_path(p, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert q.values is p.values and q.offset == -3 and type(q) is kind
+        assert peak < 4096
+
+    def test_offset_is_a_python_int(self):
+        q = shift_path(Window(offset=2, values=(1.0,)), np.int64(5))
+        assert type(q.offset) is int and q.offset == -3
 
 
 class TestTruncate:
