@@ -56,7 +56,6 @@ from .random_measure import (
     ks_critical,
     ks_one_sample_threshold,
     ks_two_sample_threshold,
-    measures_allclose,
 )
 from .recurrence import (
     NoiseModel,
@@ -107,7 +106,6 @@ __all__ = [
     "ks_critical",
     "ks_one_sample_threshold",
     "ks_two_sample_threshold",
-    "measures_allclose",
     "perturb_last_coordinate",
     "random_char_specs",
     "rotation_flow",

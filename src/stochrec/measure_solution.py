@@ -19,8 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CoverageError
-from .path_space import Window, shift_path
-from .random_measure import MeasureSampler, ParticleMeasure, measures_allclose
+from .path_space import Window, _same_bits, shift_path
+from .random_measure import MeasureSampler, ParticleMeasure
 from .recurrence import NoiseModel, UpdateMap, advance
 from .seeds import draw_u64, draw_unit, substream
 
@@ -200,44 +200,30 @@ def _char_integral(mu: ParticleMeasure, phases: np.ndarray) -> complex:
     return complex(np.multiply(1.0 / mu.particle_count, values, out=values).sum())
 
 
-def _hopf_sides(
-    mu: ParticleMeasure, noise: Window, spec: CharSpec, update_map: UpdateMap
-) -> tuple[complex, complex]:
-    """``hopf_lhs`` and ``hopf_rhs``, integrating the right side only if it can differ.
-
-    When the map's output is the stored column, both sides fold the same terms in
-    the same order (``rho * x`` rounds as ``x * rho``), so the right side is the left."""
-    lhs = hopf_lhs(mu, spec)
-    last = spec.n + spec.m + 1
-    stepped = update_map.apply(mu.column(last - 1), noise.coordinate(last))
-    stored = mu.column(last).view(np.int64)  # bits, so -0.0 against +0.0 recomputes
-    if stepped.dtype == np.float64 and np.array_equal(stepped.view(np.int64), stored):
-        return lhs, lhs
-    del stepped  # hopf_rhs steps again; one phase array is live at a time
-    return lhs, hopf_rhs(mu, noise, spec, update_map)
-
-
 def hopf_residual(
     mu: ParticleMeasure, noise: Window, spec: CharSpec, update_map: UpdateMap
 ) -> float:
-    """``|lhs - rhs|`` of the characteristic-functional identity.
-
-    Where the map reproduces the stored ``u_{n+m+1}`` bit for bit, as on
-    :func:`conditional_measure` with the same noise, both sides fold the same
-    terms in the same order, so the right side is the left one, is not
-    integrated again, and the residual is 0.  Shuffling the last coordinate
-    across particles breaks the recurrence and makes it order one.
-    """
-    lhs, rhs = _hopf_sides(mu, noise, spec, update_map)
-    return abs(lhs - rhs)
+    """``|lhs - rhs|`` of the Hopf identity, as :func:`residual_report` computes it."""
+    return residual_report(mu, noise, spec, update_map)["residual"]
 
 
 def residual_report(
     mu: ParticleMeasure, noise: Window, spec: CharSpec, update_map: UpdateMap
 ) -> dict:
-    """Both sides of the identity and their distance, as a JSON-ready dict;
-    the right side is integrated only where it can differ, as in :func:`hopf_residual`."""
-    lhs, rhs = _hopf_sides(mu, noise, spec, update_map)
+    """Both sides of the identity and their distance, as a JSON-ready dict.
+
+    Where the map reproduces the stored ``u_{n+m+1}`` bit for bit, as on
+    :func:`conditional_measure`, both sides fold the same terms in the same
+    order (``rho * x`` rounds as ``x * rho``), so the right side is the left
+    one and the residual is 0.  Shuffling the last coordinate across
+    particles breaks the recurrence and makes it order one.
+    """
+    lhs = hopf_lhs(mu, spec)
+    last = spec.n + spec.m + 1
+    stepped = update_map.apply(mu.column(last - 1), noise.coordinate(last))
+    same = stepped.dtype == np.float64 and _same_bits(stepped, mu.column(last))
+    del stepped  # hopf_rhs steps again; one phase array is live at a time
+    rhs = lhs if same else hopf_rhs(mu, noise, spec, update_map)
     return {
         "spec": spec.as_dict(),
         "lhs_re": lhs.real,
@@ -330,7 +316,7 @@ def consistency_check(
     if n < lo:
         return True
     cut = min(n, hi)
-    return bool(np.array_equal(mu_a.span(lo, cut), mu_b.span(lo, cut)))
+    return _same_bits(mu_a.span(lo, cut), mu_b.span(lo, cut))
 
 
 def shift_equivariance_check(
@@ -341,10 +327,15 @@ def shift_equivariance_check(
     Compares the ``-t`` translate of the measure built on the original
     window against the measure built on the window moved forward by ``t``
     from the correspondingly relabeled noise.  Both runs consume the same
-    noise values and the same per-particle initializer seeds, so they must
-    agree exactly unless ``atol`` allows more; mismatched initializer seeds
-    break it, which is the almost-sure (not sure) nature of the identity.
+    noise values and the same per-particle initializer seeds, so they must be
+    equal windows, bit for bit, unless a finite ``atol > 0`` bounds the
+    largest difference; mismatched initializer seeds break it, which is the
+    almost-sure (not sure) nature of the identity.
     """
+    if not 0.0 <= atol < np.inf:
+        raise ValueError(f"atol must be finite and nonnegative, got {atol}")
     lhs = shift_path(conditional_measure(builder, noise), -t)
     rhs = conditional_measure(builder.translated(t), shift_path(noise, -t))
-    return measures_allclose(lhs, rhs, atol)
+    if atol == 0.0:
+        return lhs == rhs
+    return bool(np.max(np.abs(lhs.values - rhs.values)) <= atol)

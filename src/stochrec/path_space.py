@@ -26,6 +26,11 @@ __all__ = [
 ]
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """The package's one exact comparison: equal shapes and float64 bit patterns."""
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 @dataclass(frozen=True, eq=False)
 class Window:
     """A finite window of a real-valued sequence, backed by a read-only array.
@@ -35,8 +40,9 @@ class Window:
     leading axes hold several (a particle matrix has one row per particle).
     A writable array is copied column-major, so that each coordinate's
     values are contiguous; a read-only array is shared as it is, and a
-    caller's array is never frozen or captured.  Windows compare equal when
-    their offsets and their exact values agree.  Values must be finite.
+    caller's array is never frozen or captured.  Windows are equal when their
+    offsets, shapes and float64 bit patterns agree, so ``-0.0`` is not
+    ``+0.0``; the memory order does not matter.  Values must be finite.
     """
 
     offset: int
@@ -57,7 +63,7 @@ class Window:
     def __eq__(self, other):
         if not isinstance(other, Window):
             return NotImplemented
-        return self.offset == other.offset and np.array_equal(self.values, other.values)
+        return self.offset == other.offset and _same_bits(self.values, other.values)
 
     def __len__(self) -> int:
         return self.values.shape[-1]

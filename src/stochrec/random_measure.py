@@ -25,7 +25,6 @@ __all__ = [
     "MeasureSampler",
     "integrate",
     "cylinder_prob",
-    "measures_allclose",
     "distributions_equal",
     "ks_critical",
     "ks_two_sample_threshold",
@@ -143,15 +142,6 @@ def cylinder_prob(mu: ParticleMeasure, delta: CylinderSet) -> float:
         col = block[:, j]
         inside &= (col >= a) & (col < b)
     return float(integrate(mu, inside))
-
-
-def measures_allclose(a: ParticleMeasure, b: ParticleMeasure, atol: float = 0.0) -> bool:
-    """Coordinate-wise comparison of two ensembles on the same window."""
-    if atol == 0.0:
-        return a == b
-    if a.offset != b.offset or a.values.shape != b.values.shape:
-        return False
-    return bool(np.max(np.abs(a.values - b.values)) <= atol)
 
 
 def ks_critical(alpha: float) -> float:

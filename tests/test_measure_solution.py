@@ -27,10 +27,10 @@ from stochrec.random_measure import (
     ParticleMeasure,
     cylinder_prob,
     integrate,
-    measures_allclose,
 )
 from stochrec.recurrence import (
     NoiseModel,
+    UpdateMap,
     contraction_map,
     fractional_map,
     stationary_sampler,
@@ -465,9 +465,20 @@ class TestHopfShortcut:
         reads_last = [spec.n + spec.m + 1 == self.WINDOW[1] for spec in specs]
         assert any(reads_last) and not all(reads_last)
         for spec, last in zip(specs, reads_last):
-            del integrals[:]
-            residual_report(mu, noise, spec, update_map)
-            assert len(integrals) == (2 if last else 1)
+            for entry in (residual_report, hopf_residual):
+                del integrals[:]
+                entry(mu, noise, spec, update_map)
+                assert len(integrals) == (2 if last else 1)
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    @pytest.mark.parametrize("update_map", [fractional_map(), contraction_map(0.5)])
+    def test_residual_is_the_reports(self, update_map, perturbed):
+        mu, noise, specs = self.construct(update_map)
+        if perturbed:
+            mu = perturb_last_coordinate(mu, seed=5)
+        for spec in specs:
+            report = residual_report(mu, noise, spec, update_map)
+            assert bits(hopf_residual(mu, noise, spec, update_map)) == bits(report["residual"])
 
 
 class TestLayout:
@@ -494,7 +505,7 @@ class TestLayout:
         assert shared_c.values.flags.c_contiguous
         measures = (mu, from_c, from_f, shared_c)
         for other in measures[1:]:
-            assert measures_allclose(mu, other, atol=0.0)
+            assert mu == other
         delta = CylinderSet(start=4, intervals=((0.1, 0.6), (0.3, 0.9)))
         assert len({cylinder_prob(m, delta) for m in measures}) == 1
         specs = char_spec_grid((0, 10)) + random_char_specs((0, 10), 8, seed=2)
@@ -560,6 +571,19 @@ class TestConsistency:
         noise_b = Window(offset=1, values=values)
         assert not consistency_check(make_builder(window=window), noise_a, noise_b, n=5)
 
+    def test_pasts_differing_only_by_signed_zeros_detected(self):
+        # (x - x) * (0.5 - xi) is +0.0 or -0.0 by the side of 1/2 that xi is on,
+        # so the two pasts are equal as values and differ as bit patterns
+        update_map = UpdateMap("signed-zero", lambda x, xi: (x - x) * (0.5 - xi))
+        builder = make_builder(update_map=update_map)
+        values = np.full(10, 0.25)
+        values[3] = 0.75  # xi_4 > 1/2: u_4 = -0.0 on every particle
+        noise_a, noise_b = Window(1, np.full(10, 0.25)), Window(1, values)
+        mu_a, mu_b = conditional_measure(builder, noise_a), conditional_measure(builder, noise_b)
+        assert np.array_equal(mu_a.values, mu_b.values) and mu_a != mu_b
+        assert not consistency_check(builder, noise_a, noise_b, n=5)
+        assert consistency_check(builder, noise_a, noise_b, n=3)
+
     def test_structural_mismatch_rejected(self):
         noise = make_noise()
         shorter = Window(offset=1, values=noise.values[:-1])
@@ -597,6 +621,31 @@ class TestShiftEquivariance:
         assert not shift_equivariance_check(builder, noise, 2)
         assert shift_equivariance_check(builder, noise, 2, atol=1e-12)
 
+    def test_signed_zero_fails_at_the_default(self, monkeypatch):
+        # a translate whose zeros turn negative is equal as values, not as bits
+        exact_shift = measure_solution.shift_path
+
+        def negated_zeros_shift(p, t):
+            shifted = exact_shift(p, t)
+            if not isinstance(shifted, ParticleMeasure):
+                return shifted
+            values = shifted.values.copy()
+            values[values == 0.0] = -0.0
+            return ParticleMeasure(shifted.offset, values)
+
+        builder = make_builder(update_map=UpdateMap("zero", lambda x, xi: 0.0 * x))
+        noise = make_noise()
+        assert conditional_measure(builder, noise).column(5).view(np.int64).tolist() == [0] * 400
+        assert shift_equivariance_check(builder, noise, 2)
+        monkeypatch.setattr(measure_solution, "shift_path", negated_zeros_shift)
+        assert not shift_equivariance_check(builder, noise, 2)
+        assert shift_equivariance_check(builder, noise, 2, atol=1e-12)
+
+    @pytest.mark.parametrize("atol", [-1e-12, float("nan"), float("inf")])
+    def test_bad_atol_refused(self, atol):
+        with pytest.raises(ValueError, match="atol"):
+            shift_equivariance_check(make_builder(), make_noise(), 2, atol=atol)
+
     def test_mismatched_initializer_seeds_break_identity(self):
         builder = make_builder()
         noise = make_noise()
@@ -608,14 +657,15 @@ class TestShiftEquivariance:
             init_seed_stream=substream(1, "different-stream"),
         )
         rhs = conditional_measure(other, shift_path(noise, -3))
-        assert not measures_allclose(lhs, rhs, atol=1e-12)
+        assert lhs.offset == rhs.offset
+        assert np.max(np.abs(lhs.values - rhs.values)) > 1e-12
 
 
 class TestMeasureSampler:
     def test_pure_function_of_replica(self):
         sampler = conditional_measure_sampler(make_builder(), noise_seed=substream(2, "s"))
-        assert measures_allclose(sampler(4), sampler(4))
-        assert not measures_allclose(sampler(4), sampler(5))
+        assert sampler(4) == sampler(4)
+        assert sampler(4) != sampler(5)
 
     def test_integrate_normalization_over_replicas(self):
         sampler = conditional_measure_sampler(make_builder(), noise_seed=substream(2, "s"))

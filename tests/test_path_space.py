@@ -70,7 +70,21 @@ class TestWindowArray:
         assert w != Window(offset=0, values=(0.25, 0.5))
         assert w != Window(offset=1, values=(0.25, np.nextafter(0.5, 1.0)))
         assert w != Window(offset=1, values=(0.25, 0.5, 0.75))
+        assert w != Window(offset=1, values=[[0.25, 0.5]])
         assert w != (0.25, 0.5)
+
+    @pytest.mark.parametrize("kind", [Window, ParticleMeasure])
+    def test_equality_is_shape_and_bit_patterns(self, kind):
+        # -0.0 is not +0.0, and a reshaped matrix is not the same window
+        assert kind(0, [[0.0, 1.0]]) != kind(0, [[-0.0, 1.0]])
+        assert kind(0, [[0.25, 0.5]]) != kind(0, [[0.25], [0.5]])
+        # the memory order is not part of it
+        rows = np.array([[0.1, -0.0, 0.3], [0.4, 0.5, 0.0]])
+        c_order = rows.copy(order="C")
+        c_order.setflags(write=False)
+        shared, copied = kind(2, c_order), kind(2, rows)
+        assert shared.values.flags.c_contiguous and copied.values.flags.f_contiguous
+        assert shared == copied
 
     @given(
         st.integers(-50, 50),
