@@ -254,10 +254,7 @@ def _diagnose_conditional_law(args) -> list[StatReport]:
 def _failure_fraction(name: str, checks: list[bool], seed: int) -> list[StatReport]:
     """An exact property checked ``len(checks)`` times: the failing share, which must be 0."""
     count = len(checks)
-    report = StatReport.from_statistic(
-        name, checks.count(False) / count, threshold=0.0, sample_size=count, seed=seed
-    )
-    return [report]
+    return [StatReport(name, checks.count(False) / count, 0.0, count, seed)]
 
 
 def _diagnose_consistency(args) -> list[StatReport]:

@@ -16,6 +16,7 @@ level.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -134,7 +135,7 @@ def tsirelson_statistic(
     """
     x = tsirelson_samples(config, n, update_map=update_map)
     statistic = abs(complex(np.mean(np.exp((2j * np.pi) * x))))
-    return StatReport.from_statistic(
+    return StatReport(
         test_name="tsirelson",
         statistic=statistic,
         threshold=FIVE_SIGMA / math.sqrt(config.sample_size),
@@ -180,7 +181,7 @@ def conditional_char_statistic(
         return abs(complex(np.mean(np.exp((2j * np.pi) * x))))
 
     moduli = [path_modulus(p) for p in range(noise_paths)]
-    return StatReport.from_statistic(
+    return StatReport(
         test_name="conditional_char",
         statistic=max(moduli),
         threshold=FIVE_SIGMA / math.sqrt(config.particle_count),
@@ -243,8 +244,7 @@ def stationarity_suite(
         raise ValueError("shifts must be nonempty")
     lo, hi = builder.window
     reports = []
-    for t in shifts:
-        t = int(t)
+    for t in map(operator.index, shifts):
         if t == 0:
             raise ValueError("shift 0 is vacuous; use nonzero shifts")
         lo_eff = max(lo, lo - t)
@@ -307,13 +307,22 @@ def rotation_invariance_demo(
     centered_stat = float(np.max(np.abs(rotated.mean(axis=0))))
     cov = np.cov(rotated, rowvar=False)
     cov_stat = float(np.max(np.abs(cov - np.eye(2))))
-    return StatReport.from_statistic(
+    return StatReport(
         test_name="rotation_invariance",
         statistic=max(centered_stat, cov_stat),
         threshold=FIVE_SIGMA / math.sqrt(n),
         sample_size=n,
         seed=config.seed,
     )
+
+
+def _pair_sigma(rho: float, a: float) -> float:
+    """The pair's conditional standard deviation ``sqrt(1 - rho^2)``; needs ``|rho|, |a| < 1``."""
+    if not abs(rho) < 1.0:
+        raise ValueError(f"rho must satisfy |rho| < 1, got {rho}")
+    if not abs(a) < 1.0:
+        raise ValueError(f"a must satisfy |a| < 1, got {a}")
+    return math.sqrt(1.0 - rho * rho)
 
 
 def _stationary_gaussian_path(a: float, seed: int, lo: int, hi: int) -> np.ndarray:
@@ -342,9 +351,9 @@ def gaussian_pair_conditional_samples(
     ``{n: (y_n, samples)}``; the exact conditional law at ``n`` is normal
     with mean ``rho * y_n`` and variance ``1 - rho^2``.
     """
+    sigma = _pair_sigma(rho, a)
     lo, hi = config.window
     y = _stationary_gaussian_path(a, config.seed, lo, hi)
-    sigma = math.sqrt(1.0 - rho * rho)
     out = {}
     for n in indices:
         if not lo <= n <= hi:
@@ -371,20 +380,16 @@ def conditional_law_demo(
     path and reports the largest KS distance to that law over the tested
     indices, against the asymptotic critical value at ``config.alpha``.
     """
-    if not abs(rho) < 1.0:
-        raise ValueError(f"rho must satisfy |rho| < 1, got {rho}")
-    if not abs(a) < 1.0:
-        raise ValueError(f"a must satisfy |a| < 1, got {a}")
+    sigma = _pair_sigma(rho, a)
     lo, hi = config.window
     if indices is None:
         span = hi - lo
         indices = sorted({lo + 1, lo + span // 3 + 1, lo + (2 * span) // 3, hi})
-    sigma = math.sqrt(1.0 - rho * rho)
     samples = gaussian_pair_conditional_samples(rho, a, config, indices)
     statistic = 0.0
     for y_n, draws in samples.values():
         statistic = max(statistic, _sps.kstest(draws, rho * y_n, sigma))
-    return StatReport.from_statistic(
+    return StatReport(
         test_name="conditional_law",
         statistic=statistic,
         threshold=ks_one_sample_threshold(config.alpha, config.particle_count),
@@ -401,11 +406,9 @@ def gaussian_pair_sampler(rho: float, a: float, config: DiagnosticsConfig) -> Me
     the window.  The pair is jointly stationary, so this sampler and its
     translates coincide in distribution.
     """
-    if not abs(rho) < 1.0 or not abs(a) < 1.0:
-        raise ValueError("rho and a must lie in (-1, 1)")
+    sigma = _pair_sigma(rho, a)
     lo, hi = config.window
     length = hi - lo + 1
-    sigma = math.sqrt(1.0 - rho * rho)
     path_root = substream(config.seed, "pair-path")
     eps_root = substream(config.seed, "pair-ensemble")
 

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import CoverageError
 from .path_space import Window, _same_bits, shift_path
 from .random_measure import MeasureSampler, ParticleMeasure
-from .recurrence import NoiseModel, UpdateMap, advance
+from .recurrence import NoiseModel, UpdateMap, _init_interval, advance
 from .seeds import draw_u64, draw_unit, substream
 
 __all__ = [
@@ -56,10 +56,13 @@ class CharSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
+        object.__setattr__(self, "rho", float(self.rho))
         if self.m < 1:
             raise ValueError("m must be at least 1")
         if len(self.lambdas) != self.m:
             raise ValueError(f"expected {self.m} frequencies, got {len(self.lambdas)}")
+        if not all(abs(v) < np.inf for v in self.lambdas + (self.rho,)):
+            raise ValueError(f"frequencies must be finite, got {self.lambdas} and rho {self.rho}")
 
     def as_dict(self) -> dict:
         return {"n": self.n, "m": self.m, "lambdas": list(self.lambdas), "rho": self.rho}
@@ -90,8 +93,7 @@ class MeasureBuilder:
             raise ValueError(f"window must satisfy n_lo < n_hi, got {self.window}")
         if self.particle_count < 1:
             raise ValueError("particle_count must be positive")
-        if not self.init_bounds[0] < self.init_bounds[1]:
-            raise ValueError("init_bounds must be an increasing pair")
+        _init_interval(self.init_bounds)
 
     @cached_property
     def initializers(self) -> np.ndarray:
@@ -135,10 +137,10 @@ def conditional_measure_sampler(builder: MeasureBuilder, noise_seed: int) -> Mea
     function of its noise alone.
     """
     lo, hi = builder.window
-    model = NoiseModel(seed=noise_seed)
 
     def sample(replica: int) -> ParticleMeasure:
-        return conditional_measure(builder, model.substream(replica).window(lo + 1, hi - lo))
+        noise = NoiseModel(int(draw_u64(noise_seed, replica))).window(lo + 1, hi - lo)
+        return conditional_measure(builder, noise)
 
     return sample
 

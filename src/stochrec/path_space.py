@@ -8,6 +8,7 @@ is ``values[..., i - offset]``.  :meth:`Window.span` is the one checked
 slice by absolute index.
 """
 
+import operator
 from copy import copy
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -57,7 +58,7 @@ class Window:
             raise ValueError(f"{type(self).__name__} requires a nonempty array of values")
         if not np.isfinite(values).all():
             raise ValueError(f"{type(self).__name__} values must be finite")
-        object.__setattr__(self, "offset", int(self.offset))
+        object.__setattr__(self, "offset", operator.index(self.offset))
         object.__setattr__(self, "values", values)
 
     def __eq__(self, other):
@@ -124,7 +125,7 @@ def shift_path(p: Window, t: int) -> Window:
     measures (the pushforward under the path translation) shift alike.
     """
     shifted = copy(p)
-    object.__setattr__(shifted, "offset", int(p.offset - t))
+    object.__setattr__(shifted, "offset", p.offset - operator.index(t))
     return shifted
 
 

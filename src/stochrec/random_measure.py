@@ -9,7 +9,7 @@ measure-valued samplers.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -87,31 +87,20 @@ class CylinderSet:
 
 @dataclass(frozen=True)
 class StatReport:
-    """Outcome of one statistical check; ``passed`` iff statistic <= threshold."""
+    """Outcome of one statistical check; ``passed`` is derived: statistic <= threshold."""
 
     test_name: str
     statistic: float
     threshold: float
-    passed: bool
     sample_size: int
     seed: int
+    passed: bool = field(init=False)
 
     def __post_init__(self):
-        if self.passed != (self.statistic <= self.threshold):
-            raise ValueError("passed flag inconsistent with statistic and threshold")
-
-    @classmethod
-    def from_statistic(
-        cls, test_name: str, statistic: float, threshold: float, sample_size: int, seed: int
-    ) -> "StatReport":
-        return cls(
-            test_name=test_name,
-            statistic=float(statistic),
-            threshold=float(threshold),
-            passed=bool(statistic <= threshold),
-            sample_size=int(sample_size),
-            seed=int(seed),
-        )
+        types = {"statistic": float, "threshold": float, "sample_size": int, "seed": int}
+        for name, kind in types.items():
+            object.__setattr__(self, name, kind(getattr(self, name)))
+        object.__setattr__(self, "passed", self.statistic <= self.threshold)
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -212,7 +201,7 @@ def distributions_equal(
     for j in range(proj_a.shape[1]):
         statistic = max(statistic, _sps.ks_2samp(proj_a[:, j], proj_b[:, j]))
 
-    return StatReport.from_statistic(
+    return StatReport(
         test_name=name,
         statistic=statistic,
         threshold=ks_two_sample_threshold(alpha, replicas, replicas),

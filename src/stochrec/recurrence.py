@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CoverageError, InverseUnavailableError
 from .path_space import Window
-from .seeds import counter_range, draw_u64, draw_unit
+from .seeds import counter_range, draw_unit
 
 __all__ = [
     "UpdateMap",
@@ -120,10 +120,6 @@ class NoiseModel:
         values.setflags(write=False)
         return Window(offset=first_index, values=values)
 
-    def substream(self, index: int) -> "NoiseModel":
-        """An independent child model for replica ``index``."""
-        return NoiseModel(int(draw_u64(self.seed, index)))
-
 
 def advance(step: Callable, x, noise_values, out: np.ndarray | None = None):
     """Step the state ``x`` through ``noise_values``; return the last state.
@@ -183,6 +179,13 @@ def iterate_backward(x_end: float, noise: Window, update_map: UpdateMap) -> Wind
     return _fill_path(update_map, noise, len(noise), float(x_end))
 
 
+def _init_interval(bounds) -> tuple[float, float]:
+    lo, hi = float(bounds[0]), float(bounds[1])
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise ValueError(f"init_bounds must be an increasing pair of finite width, got {bounds}")
+    return lo, hi
+
+
 def stationary_sampler(
     update_map: UpdateMap,
     noise: Window,
@@ -203,9 +206,7 @@ def stationary_sampler(
     For the fractional map with the default bounds every coordinate lies in
     [0, 1) and each coordinate is uniform regardless of the noise values.
     """
-    lo, hi = float(init_bounds[0]), float(init_bounds[1])
-    if not lo < hi:
-        raise ValueError("init_bounds must be an increasing pair")
+    lo, hi = _init_interval(init_bounds)
     first = noise.offset - 1
     last = noise.last_index
     anchor = first if init_index is None else int(init_index)

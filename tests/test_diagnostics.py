@@ -256,6 +256,18 @@ class TestStationaritySuite:
         with pytest.raises(ValueError):
             stationarity_suite(self.make_builder(), [0], deltas, cfg)
 
+    @pytest.mark.parametrize("shifts", [[1.5], [2.0]])
+    def test_non_integer_shift_refused(self, shifts, monkeypatch):
+        # int() would run a shift of 1.5 as 1; the refusal comes before any build
+        def no_build(*args):
+            raise AssertionError("a measure was built")
+
+        monkeypatch.setattr(diagnostics, "conditional_measure_sampler", no_build)
+        cfg = config(sample_size=400)
+        deltas = default_cylinder_family((0, 10), max_shift=2)
+        with pytest.raises(TypeError):
+            stationarity_suite(self.make_builder(), shifts, deltas, cfg)
+
     def test_delta_outside_shifted_window(self):
         cfg = config(sample_size=400)
         deltas = [CylinderSet(start=10, intervals=((0.0, 1.0),))]
@@ -331,6 +343,27 @@ class TestConditionalLawDemo:
     def test_parameter_domain(self, rho, a):
         with pytest.raises(ValueError):
             conditional_law_demo(rho, a, config())
+
+    @pytest.mark.parametrize(
+        "rho, a",
+        [(1.0, 0.5), (-1.2, 0.5), (1.5, 0.5), (math.nan, 0.5), (0.5, 1.0), (0.5, -1.0), (0.5, 1.5)],
+    )
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda rho, a, cfg: conditional_law_demo(rho, a, cfg),
+            lambda rho, a, cfg: gaussian_pair_conditional_samples(rho, a, cfg, [1]),
+            lambda rho, a, cfg: gaussian_pair_sampler(rho, a, cfg),
+        ],
+        ids=["conditional_law_demo", "gaussian_pair_conditional_samples", "gaussian_pair_sampler"],
+    )
+    def test_one_refusal_for_every_entry_point(self, entry, rho, a):
+        # at (1.5, 0.5) and (0.5, 1.5) the sampling entry points used to die
+        # with "math domain error", and a = 1.0 was accepted
+        name, value = ("rho", rho) if not abs(rho) < 1.0 else ("a", a)
+        with pytest.raises(ValueError) as info:
+            entry(rho, a, config())
+        assert str(info.value) == f"{name} must satisfy |{name}| < 1, got {value}"
 
     def test_conditional_mean_tracks_driver(self):
         rho, a = 0.8, 0.5

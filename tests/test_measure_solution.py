@@ -1,4 +1,7 @@
 import cmath
+import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -65,6 +68,43 @@ class TestTypes:
             make_builder(window=(3, 3))
         with pytest.raises(ValueError):
             make_builder(particles=0)
+
+    @pytest.mark.parametrize(
+        "lambdas, rho",
+        [((math.nan,), 1.0), ((1.0, math.inf), 0.0), ((1.0,), -math.inf), ((1.0,), math.nan)],
+    )
+    def test_char_spec_refuses_non_finite_frequencies(self, lambdas, rho):
+        with pytest.raises(ValueError, match="frequencies must be finite"):
+            CharSpec(n=0, m=len(lambdas), lambdas=lambdas, rho=rho)
+
+    def test_char_spec_stores_float_frequencies(self):
+        spec = CharSpec(n=0, m=1, lambdas=(1,), rho=np.int64(1))
+        assert type(spec.rho) is float
+        assert json.dumps(spec.as_dict()) == '{"n": 0, "m": 1, "lambdas": [1.0], "rho": 1.0}'
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            (0.0, math.inf),
+            (-math.inf, 0.0),
+            (-1e308, 1e308),
+            (math.nan, 1.0),
+            (1.0, 1.0),
+            (1.0, 0.0),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda b: make_builder(init_bounds=b),
+            lambda b: stationary_sampler(fractional_map(), make_noise(), 8, init_bounds=b),
+        ],
+        ids=["MeasureBuilder", "stationary_sampler"],
+    )
+    def test_bad_init_bounds_refused(self, entry, bounds):
+        # (0.0, inf) used to build, with every initializer inf
+        with pytest.raises(ValueError, match=re.escape(f"finite width, got {bounds}")):
+            entry(bounds)
 
     def test_builder_translate(self):
         b = make_builder(window=(0, 8))
@@ -666,6 +706,13 @@ class TestMeasureSampler:
         sampler = conditional_measure_sampler(make_builder(), noise_seed=substream(2, "s"))
         assert sampler(4) == sampler(4)
         assert sampler(4) != sampler(5)
+
+    def test_replica_noise_is_the_draw_u64_child(self):
+        builder, seed = make_builder(), substream(2, "s")
+        sampler = conditional_measure_sampler(builder, noise_seed=seed)
+        for r in (0, 7):
+            noise = NoiseModel(int(draw_u64(seed, r))).window(1, 10)
+            assert sampler(r) == conditional_measure(builder, noise)
 
     def test_integrate_normalization_over_replicas(self):
         sampler = conditional_measure_sampler(make_builder(), noise_seed=substream(2, "s"))

@@ -28,6 +28,16 @@ class TestWindows:
         with pytest.raises(ValueError):
             Window(offset=0, values=np.empty(0))
 
+    @pytest.mark.parametrize("offset", [1.7, 1.0, np.float64(3.0)])
+    def test_non_integer_offset_refused(self, offset):
+        # int() would put Window(1.7, ...) at offset 1
+        with pytest.raises(TypeError):
+            Window(offset=offset, values=(1.0,))
+
+    def test_integer_offset_becomes_a_python_int(self):
+        w = Window(offset=np.uint64(2**63 + 5), values=(1.0,))
+        assert type(w.offset) is int and w.offset == 2**63 + 5
+
     def test_absolute_indexing(self):
         p = Window(offset=-2, values=(10.0, 11.0, 12.0))
         assert p.coordinate(-2) == 10.0
@@ -178,6 +188,12 @@ class TestShift:
     def test_offset_is_a_python_int(self):
         q = shift_path(Window(offset=2, values=(1.0,)), np.int64(5))
         assert type(q.offset) is int and q.offset == -3
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, np.float64(2.0)])
+    def test_non_integer_shift_refused(self, t):
+        # int() would truncate 0.5 to 0 and return the window unshifted
+        with pytest.raises(TypeError):
+            shift_path(Window(offset=2, values=(1.0,)), t)
 
 
 class TestTruncate:

@@ -258,24 +258,29 @@ class TestShiftMeasure:
 
 class TestStatReport:
     def test_invariant(self):
-        with pytest.raises(ValueError):
+        # passed is derived from statistic and threshold, so it cannot disagree with them
+        assert StatReport("x", 1.0, 1.0, 1, 0).passed is True
+        assert StatReport("x", 2.0, 1.0, 1, 0).passed is False
+        assert StatReport("x", float("nan"), 1.0, 1, 0).passed is False
+        with pytest.raises(TypeError):
             StatReport(
                 test_name="x", statistic=2.0, threshold=1.0, passed=True, sample_size=1, seed=0
             )
 
+    def test_fields_coerced(self):
+        report = StatReport("x", np.float64(0.5), 1, np.int64(100), np.uint64(2**64 - 1))
+        assert [type(v) for v in (report.statistic, report.threshold)] == [float, float]
+        assert [type(v) for v in (report.sample_size, report.seed)] == [int, int]
+        assert (report.threshold, report.seed) == (1.0, 2**64 - 1)
+
     def test_serialization_fields(self):
-        report = StatReport.from_statistic("demo", 0.5, 1.0, 100, 7)
+        report = StatReport("demo", 0.5, 1.0, 100, 7)
         # reports are written with json.dumps(..., sort_keys=True)
-        data = json.loads(json.dumps(report.as_dict(), sort_keys=True))
-        assert sorted(data) == [
-            "passed",
-            "sample_size",
-            "seed",
-            "statistic",
-            "test_name",
-            "threshold",
-        ]
-        assert data["passed"] is True
+        text = json.dumps(report.as_dict(), sort_keys=True)
+        assert text == (
+            '{"passed": true, "sample_size": 100, "seed": 7, '
+            '"statistic": 0.5, "test_name": "demo", "threshold": 1.0}'
+        )
 
 
 class TestDistributionsEqual:

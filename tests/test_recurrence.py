@@ -18,7 +18,7 @@ from stochrec.recurrence import (
     stationary_sampler,
     update_map_from_name,
 )
-from stochrec.seeds import counter_range, draw_normal, draw_unit, substream
+from stochrec.seeds import counter_range, draw_normal, draw_u64, draw_unit, substream
 
 unit = st.floats(0.0, 1.0, exclude_max=True, allow_nan=False)
 
@@ -287,9 +287,9 @@ class TestNoiseModel:
         assert np.array_equal(wide.values[5:10], narrow.values)
 
     def test_substreams_differ(self):
-        model = NoiseModel(seed=3)
-        a = model.substream(0).window(1, 8).values
-        b = model.substream(1).window(1, 8).values
+        # a per-replica child is the draw_u64 child of the master seed
+        a = NoiseModel(int(draw_u64(3, 0))).window(1, 8).values
+        b = NoiseModel(int(draw_u64(3, 1))).window(1, 8).values
         assert not np.array_equal(a, b)
 
     def test_determinism(self):
