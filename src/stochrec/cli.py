@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import (
     DiagnosticsConfig,
+    _shifts,
     conditional_char_statistic,
     conditional_law_demo,
     default_cylinder_family,
@@ -200,13 +201,10 @@ def _diagnose_tsirelson(args) -> list[StatReport]:
 
 
 def _diagnose_stationarity(args) -> list[StatReport]:
-    if not args.shifts:
-        raise ValueError("shifts must be nonempty")
+    shifts = _shifts(args.shifts)
     config = _config(args)
-    deltas = default_cylinder_family(
-        config.window, max(max(args.shifts), 0), min(min(args.shifts), 0)
-    )
-    return stationarity_suite(_builder(args), args.shifts, deltas, config)
+    deltas = default_cylinder_family(config.window, max(max(shifts), 0), min(min(shifts), 0))
+    return stationarity_suite(_builder(args), shifts, deltas, config)
 
 
 def _diagnose_rotation(args) -> list[StatReport]:
@@ -286,14 +284,11 @@ def _diagnose_consistency(args) -> list[StatReport]:
 
 
 def _diagnose_equivariance(args) -> list[StatReport]:
-    if not args.shifts:
-        raise ValueError("shifts must be nonempty")
-    if 0 in args.shifts:
-        raise ValueError("shift 0 is vacuous; use nonzero shifts")
+    shifts = _shifts(args.shifts)
     builder = _builder(args)
     lo, hi = builder.window
     noise = NoiseModel(seed=substream(args.seed, "equivariance-noise")).window(lo + 1, hi - lo)
-    checks = [shift_equivariance_check(builder, noise, t) for t in args.shifts]
+    checks = [shift_equivariance_check(builder, noise, t) for t in shifts]
     return _failure_fraction("equivariance", checks, args.seed)
 
 

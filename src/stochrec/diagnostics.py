@@ -34,7 +34,7 @@ from .random_measure import (
     distributions_equal,
     ks_one_sample_threshold,
 )
-from .recurrence import NoiseModel, UpdateMap, advance, fractional_map
+from .recurrence import NoiseModel, UpdateMap, advance, contraction_map, fractional_map
 from .seeds import counter_range, draw_normal, draw_u64, draw_unit, substream
 
 __all__ = [
@@ -53,6 +53,26 @@ __all__ = [
 ]
 
 FIVE_SIGMA = 5.0
+
+
+def _five_sigma(name: str, statistic: float, n: int, seed: int) -> StatReport:
+    """A report of ``statistic`` against the ``5/sqrt(n)`` threshold."""
+    return StatReport(name, statistic, FIVE_SIGMA / math.sqrt(n), n, seed)
+
+
+def _circle_modulus(x: np.ndarray) -> float:
+    """Modulus of the empirical mean of ``exp(2*pi*i*x)``."""
+    return abs(complex(np.mean(np.exp((2j * np.pi) * x))))
+
+
+def _shifts(shifts: Sequence[int]) -> list[int]:
+    """The shifts as ints; refuses non-integers, an empty list and a zero shift."""
+    shifts = [operator.index(t) for t in shifts]
+    if not shifts:
+        raise ValueError("shifts must be nonempty")
+    if 0 in shifts:
+        raise ValueError("shift 0 is vacuous; use nonzero shifts")
+    return shifts
 
 
 @dataclass(frozen=True)
@@ -82,13 +102,16 @@ class DiagnosticsConfig:
     window: tuple[int, int]
 
     def __post_init__(self):
+        lo, hi = map(operator.index, self.window)
+        object.__setattr__(self, "window", (lo, hi))
+        for name in ("sample_size", "particle_count"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.sample_size < 100:
             raise ValueError("sample_size must be at least 100")
         if self.particle_count < 1:
             raise ValueError("particle_count must be positive")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        lo, hi = self.window
         if not lo < hi:
             raise ValueError(f"window must satisfy lo < hi, got {self.window}")
 
@@ -134,14 +157,7 @@ def tsirelson_statistic(
     informational.
     """
     x = tsirelson_samples(config, n, update_map=update_map)
-    statistic = abs(complex(np.mean(np.exp((2j * np.pi) * x))))
-    return StatReport(
-        test_name="tsirelson",
-        statistic=statistic,
-        threshold=FIVE_SIGMA / math.sqrt(config.sample_size),
-        sample_size=config.sample_size,
-        seed=config.seed,
-    )
+    return _five_sigma("tsirelson", _circle_modulus(x), config.sample_size, config.seed)
 
 
 def conditional_char_statistic(
@@ -177,17 +193,10 @@ def conditional_char_statistic(
             update_map, config.particle_count, config.window, int(draw_u64(init_root, p))
         )
         noise = NoiseModel(seed=int(draw_u64(noise_root, p))).window(lo + 1, hi - lo)
-        x = conditional_measure(builder, noise).column(n)
-        return abs(complex(np.mean(np.exp((2j * np.pi) * x))))
+        return _circle_modulus(conditional_measure(builder, noise).column(n))
 
-    moduli = [path_modulus(p) for p in range(noise_paths)]
-    return StatReport(
-        test_name="conditional_char",
-        statistic=max(moduli),
-        threshold=FIVE_SIGMA / math.sqrt(config.particle_count),
-        sample_size=config.particle_count,
-        seed=config.seed,
-    )
+    statistic = max(path_modulus(p) for p in range(noise_paths))
+    return _five_sigma("conditional_char", statistic, config.particle_count, config.seed)
 
 
 def default_cylinder_family(
@@ -238,32 +247,25 @@ def stationarity_suite(
     For each nonzero shift ``t``, draws ``sample_size`` fresh-noise
     realizations of the conditional measure and, independently, of its
     ``t``-translate, and compares the rectangle-probability vectors with
-    :func:`distributions_equal`.  One report per shift.
+    :func:`distributions_equal`.  One report per shift.  Every shift and
+    every shifted rectangle is checked before any measure is built.
     """
-    if not shifts:
-        raise ValueError("shifts must be nonempty")
+    shifts = _shifts(shifts)
     lo, hi = builder.window
-    reports = []
-    for t in map(operator.index, shifts):
-        if t == 0:
-            raise ValueError("shift 0 is vacuous; use nonzero shifts")
-        lo_eff = max(lo, lo - t)
-        hi_eff = min(hi, hi - t)
+    for t in shifts:
         for d in deltas:
-            if d.start < lo_eff or d.last_index > hi_eff:
+            if d.start < max(lo, lo - t) or d.last_index > min(hi, hi - t):
                 raise CoverageError(
                     f"rectangle at [{d.start}, {d.last_index}] leaves the window "
                     f"after shifting by {t}"
                 )
-        sampler_a = conditional_measure_sampler(
-            builder, substream(config.seed, f"stationarity-a:{t}")
-        )
-        base_b = conditional_measure_sampler(
-            builder, substream(config.seed, f"stationarity-b:{t}")
-        )
+    reports = []
+    for t in shifts:
+        seeds = (substream(config.seed, f"stationarity-{side}:{t}") for side in "ab")
+        sampler_a, base_b = (conditional_measure_sampler(builder, s) for s in seeds)
 
-        def shifted(r: int, _base: MeasureSampler = base_b, _t: int = t) -> ParticleMeasure:
-            return shift_path(_base(r), _t)
+        def shifted(r: int) -> ParticleMeasure:
+            return shift_path(base_b(r), t)
 
         reports.append(
             distributions_equal(
@@ -307,13 +309,7 @@ def rotation_invariance_demo(
     centered_stat = float(np.max(np.abs(rotated.mean(axis=0))))
     cov = np.cov(rotated, rowvar=False)
     cov_stat = float(np.max(np.abs(cov - np.eye(2))))
-    return StatReport(
-        test_name="rotation_invariance",
-        statistic=max(centered_stat, cov_stat),
-        threshold=FIVE_SIGMA / math.sqrt(n),
-        sample_size=n,
-        seed=config.seed,
-    )
+    return _five_sigma("rotation_invariance", max(centered_stat, cov_stat), n, config.seed)
 
 
 def _pair_sigma(rho: float, a: float) -> float:
@@ -333,7 +329,7 @@ def _stationary_gaussian_path(a: float, seed: int, lo: int, hi: int) -> np.ndarr
     # one array draw over counters lo+1..hi equals the per-counter draws
     counters = counter_range(lo + 1, hi - lo)
     innovations = scale * draw_normal(substream(seed, "pair-innov"), counters)
-    advance(lambda x, e: a * x + e, y0, innovations.tolist(), out=y[1:])
+    advance(contraction_map(a).apply, y0, innovations.tolist(), out=y[1:])
     return y
 
 
@@ -365,26 +361,19 @@ def gaussian_pair_conditional_samples(
     return out
 
 
-def conditional_law_demo(
-    rho: float,
-    a: float,
-    config: DiagnosticsConfig,
-    *,
-    indices: Sequence[int] | None = None,
-) -> StatReport:
+def conditional_law_demo(rho: float, a: float, config: DiagnosticsConfig) -> StatReport:
     """Empirical conditional law versus its closed-form Gaussian oracle.
 
     For a jointly stationary Gaussian pair, the law of the dependent value
     given the driver is normal with mean ``rho * y_n`` and variance
     ``1 - rho^2``; this draws conditional samples against one frozen driver
-    path and reports the largest KS distance to that law over the tested
-    indices, against the asymptotic critical value at ``config.alpha``.
+    path and reports the largest KS distance to that law at up to four indices
+    spread over the window, against the asymptotic critical value at ``config.alpha``.
     """
     sigma = _pair_sigma(rho, a)
     lo, hi = config.window
-    if indices is None:
-        span = hi - lo
-        indices = sorted({lo + 1, lo + span // 3 + 1, lo + (2 * span) // 3, hi})
+    span = hi - lo
+    indices = sorted({lo + 1, lo + span // 3 + 1, lo + (2 * span) // 3, hi})
     samples = gaussian_pair_conditional_samples(rho, a, config, indices)
     statistic = 0.0
     for y_n, draws in samples.values():

@@ -13,6 +13,7 @@ is one realization of the conditional law of the trajectory given the
 noise.
 """
 
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -55,6 +56,8 @@ class CharSpec:
     rho: float
 
     def __post_init__(self):
+        object.__setattr__(self, "n", operator.index(self.n))
+        object.__setattr__(self, "m", operator.index(self.m))
         object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
         object.__setattr__(self, "rho", float(self.rho))
         if self.m < 1:
@@ -88,7 +91,9 @@ class MeasureBuilder:
     init_bounds: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
-        lo, hi = self.window
+        lo, hi = map(operator.index, self.window)
+        object.__setattr__(self, "window", (lo, hi))
+        object.__setattr__(self, "particle_count", operator.index(self.particle_count))
         if not lo < hi:
             raise ValueError(f"window must satisfy n_lo < n_hi, got {self.window}")
         if self.particle_count < 1:

@@ -9,6 +9,7 @@ measure-valued samplers.
 """
 
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
@@ -72,6 +73,7 @@ class CylinderSet:
     intervals: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "start", operator.index(self.start))
         ivals = tuple((float(a), float(b)) for a, b in self.intervals)
         object.__setattr__(self, "intervals", ivals)
         if not ivals:

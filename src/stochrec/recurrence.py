@@ -10,6 +10,7 @@ value at index ``k + 1``.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -209,7 +210,7 @@ def stationary_sampler(
     lo, hi = _init_interval(init_bounds)
     first = noise.offset - 1
     last = noise.last_index
-    anchor = first if init_index is None else int(init_index)
+    anchor = first if init_index is None else operator.index(init_index)
     if not first <= anchor <= last:
         raise CoverageError(f"initializer index {anchor} outside window [{first}, {last}]")
 

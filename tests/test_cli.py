@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from stochrec import cli
+from stochrec import cli, diagnostics
 from stochrec.cli import _write_json, main
 
 
@@ -428,6 +428,20 @@ class TestBadInput:
             ["diagnose", "equivariance", "--shifts", "1,0", "--particles", "50",
              "--out", str(out)]
         )
+        assert code == 2
+        assert not out.exists()
+        assert "vacuous" in capsys.readouterr().err
+
+    def test_zero_shift_stationarity_exit_2_before_any_build(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # shift 1 used to run its full comparison before shift 0 was refused
+        def no_build(*args):
+            raise AssertionError("a measure was built")
+
+        monkeypatch.setattr(diagnostics, "conditional_measure_sampler", no_build)
+        out = tmp_path / "st.json"
+        code = main(["diagnose", "stationarity", "--shifts", "1,0", "--out", str(out)])
         assert code == 2
         assert not out.exists()
         assert "vacuous" in capsys.readouterr().err

@@ -80,6 +80,19 @@ class TestConfigTypes:
         with pytest.raises(ValueError):
             config(particle_count=0)
 
+    @pytest.mark.parametrize(
+        "field, value", [("sample_size", 400.0), ("particle_count", 50.5), ("window", (0, 8.0))]
+    )
+    def test_integer_fields_refuse_floats(self, field, value):
+        # a float window used to build and fail later with "slice indices must be integers"
+        with pytest.raises(TypeError):
+            config(**{field: value})
+
+    def test_integer_fields_stored_as_int(self):
+        cfg = config(sample_size=np.int64(400), window=[np.int64(0), np.int64(8)])
+        assert type(cfg.sample_size) is int
+        assert cfg.window == (0, 8) and all(type(i) is int for i in cfg.window)
+
     def test_rotation_state_finite(self):
         with pytest.raises(ValueError):
             RotationState(x1=float("nan"), x2=0.0)
@@ -250,29 +263,37 @@ class TestStationaritySuite:
             "stationarity:shift=2",
         ]
 
-    def test_zero_shift_rejected(self):
-        cfg = config(sample_size=400)
-        deltas = default_cylinder_family((0, 10), max_shift=1)
-        with pytest.raises(ValueError):
-            stationarity_suite(self.make_builder(), [0], deltas, cfg)
-
-    @pytest.mark.parametrize("shifts", [[1.5], [2.0]])
-    def test_non_integer_shift_refused(self, shifts, monkeypatch):
-        # int() would run a shift of 1.5 as 1; the refusal comes before any build
-        def no_build(*args):
+    @pytest.fixture
+    def no_build(self, monkeypatch):
+        def refuse(*args):
             raise AssertionError("a measure was built")
 
-        monkeypatch.setattr(diagnostics, "conditional_measure_sampler", no_build)
+        monkeypatch.setattr(diagnostics, "conditional_measure_sampler", refuse)
+
+    @pytest.mark.parametrize("shifts", [[1.5], [2.0]])
+    def test_non_integer_shift_refused(self, shifts, no_build):
+        # int() would run a shift of 1.5 as 1; the refusal comes before any build
         cfg = config(sample_size=400)
         deltas = default_cylinder_family((0, 10), max_shift=2)
         with pytest.raises(TypeError):
             stationarity_suite(self.make_builder(), shifts, deltas, cfg)
 
-    def test_delta_outside_shifted_window(self):
+    @pytest.mark.parametrize("shifts", [[0], [1, 2, 0]])
+    def test_zero_shift_rejected(self, shifts, no_build):
+        # shifts 1 and 2 used to run their full comparisons before 0 was refused
         cfg = config(sample_size=400)
-        deltas = [CylinderSet(start=10, intervals=((0.0, 1.0),))]
-        with pytest.raises(CoverageError):
-            stationarity_suite(self.make_builder(), [2], deltas, cfg)
+        deltas = default_cylinder_family((0, 10), max_shift=2)
+        with pytest.raises(ValueError, match="shift 0 is vacuous"):
+            stationarity_suite(self.make_builder(), shifts, deltas, cfg)
+
+    # index 7 stays inside window (0, 10) under shifts 1 and 2, not under 5,
+    # and was refused only after shifts 1 and 2 had run
+    @pytest.mark.parametrize("start, shifts", [(10, [2]), (7, [1, 2, 5])])
+    def test_delta_outside_shifted_window(self, start, shifts, no_build):
+        cfg = config(sample_size=400)
+        deltas = [CylinderSet(start=start, intervals=((0.0, 1.0),))]
+        with pytest.raises(CoverageError, match=f"after shifting by {shifts[-1]}"):
+            stationarity_suite(self.make_builder(), shifts, deltas, cfg)
 
     def test_transient_builder_detected(self):
         # contracting map started from a narrow initializer band has not

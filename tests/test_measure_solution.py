@@ -70,6 +70,28 @@ class TestTypes:
             make_builder(particles=0)
 
     @pytest.mark.parametrize(
+        "kw", [{"window": (0.0, 10)}, {"window": (0, 10.5)}, {"particles": 400.0}]
+    )
+    def test_builder_refuses_non_integer_sizes(self, kw):
+        # a float window used to build and fail in conditional_measure with
+        # "slice indices must be integers"
+        with pytest.raises(TypeError):
+            make_builder(**kw)
+
+    def test_builder_stores_int_sizes(self):
+        b = make_builder(particles=np.int64(5), window=[np.int64(0), np.int64(4)])
+        assert type(b.particle_count) is int
+        assert b.window == (0, 4) and all(type(i) is int for i in b.window)
+
+    @pytest.mark.parametrize("field", ["n", "m"])
+    def test_char_spec_refuses_non_integer_positions(self, field):
+        # n = 1.0 used to build and fail in hopf_residual
+        kw = dict(n=1, m=1, lambdas=(1.0,), rho=1.0)
+        kw[field] = float(kw[field])
+        with pytest.raises(TypeError):
+            CharSpec(**kw)
+
+    @pytest.mark.parametrize(
         "lambdas, rho",
         [((math.nan,), 1.0), ((1.0, math.inf), 0.0), ((1.0,), -math.inf), ((1.0,), math.nan)],
     )

@@ -113,6 +113,12 @@ class TestCylinderProb:
         with pytest.raises(ValueError):
             CylinderSet(start=0, intervals=((1.0, 1.0),))
 
+    def test_start_must_be_an_integer(self):
+        # start = 0.0 used to build and fail in cylinder_prob
+        with pytest.raises(TypeError):
+            CylinderSet(start=0.0, intervals=((0.0, 1.0),))
+        assert type(CylinderSet(start=np.int64(3), intervals=((0.0, 1.0),)).start) is int
+
     def test_full_range(self):
         mu = two_particle_measure((0.2, 0.8))
         assert cylinder_prob(mu, CylinderSet(0, ((0.0, 1.0),))) == 1.0

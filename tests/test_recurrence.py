@@ -340,6 +340,13 @@ class TestStationarySampler:
         with pytest.raises(InverseUnavailableError):
             stationary_sampler(contraction_map(0.0), noise, init_seed=8, init_index=5)
 
+    @pytest.mark.parametrize("init_index", [5.7, 5.0])
+    def test_non_integer_initializer_index_refused(self, init_index):
+        # int() used to plant the initializer of init_index=5.7 at index 5
+        noise = NoiseModel(seed=4).window(1, 10)
+        with pytest.raises(TypeError):
+            stationary_sampler(fractional_map(), noise, init_seed=8, init_index=init_index)
+
     def test_initializer_out_of_window(self):
         noise = NoiseModel(seed=4).window(1, 3)
         with pytest.raises(CoverageError):

@@ -50,8 +50,13 @@ def traced_calls(tmp_path, argv):
             ["hopf-check", "fractional", "--particles", "1000", "--seed", "5"],
             {"build": 1, "probe": 77},
         ),
+        # one noise window and one scalar apply per step
+        (
+            ["simulate", "fractional", "1000", "--seed", "5"],
+            {"window": 1, "apply": 1000},
+        ),
     ],
-    ids=["stationarity", "hopf-check"],
+    ids=["stationarity", "hopf-check", "simulate"],
 )
 def test_pinned_counts(tmp_path, argv, expected):
     calls = traced_calls(tmp_path, argv)
