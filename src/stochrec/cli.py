@@ -20,11 +20,12 @@ import numpy as np
 from . import __version__
 from .diagnostics import (
     DiagnosticsConfig,
+    _fit,
+    _shift_report,
     _shifts,
     conditional_char_statistic,
     conditional_law_demo,
     default_cylinder_family,
-    distributions_equal,
     gaussian_pair_sampler,
     rotation_invariance_demo,
     stationarity_suite,
@@ -41,7 +42,7 @@ from .measure_solution import (
     shift_equivariance_check,
     consistency_check,
 )
-from .path_space import Window, shift_path
+from .path_space import Window
 from .random_measure import CylinderSet, StatReport
 from .recurrence import NoiseModel, iterate_forward, update_map_from_name
 from .seeds import PRNG_NAME, draw_u64, draw_unit, substream
@@ -101,7 +102,7 @@ def cmd_simulate(args) -> int:
     if args.steps < 1:
         raise ValueError("steps must be at least 1")
     started = _utc_now()
-    noise = NoiseModel(seed=substream(args.seed, "simulate-noise")).window(1, args.steps)
+    noise = NoiseModel(seed=substream(args.seed, "simulate-noise")).driving((0, args.steps))
     x0 = float(draw_unit(substream(args.seed, "simulate-init"), 0))
     path = iterate_forward(x0, noise, update_map)
     # Python floats repr as the shortest round-trip decimal
@@ -128,7 +129,7 @@ def cmd_hopf_check(args) -> int:
         window=window,
         init_seed_stream=substream(args.seed, "hopf-init"),
     )
-    noise = NoiseModel(seed=substream(args.seed, "hopf-noise")).window(1, args.window - 1)
+    noise = NoiseModel(seed=substream(args.seed, "hopf-noise")).driving(window)
     mu = conditional_measure(builder, noise)
     if args.perturb:
         mu = perturb_last_coordinate(mu, substream(args.seed, "hopf-perturb"))
@@ -212,40 +213,20 @@ def _diagnose_rotation(args) -> list[StatReport]:
 
 
 def _diagnose_conditional_law(args) -> list[StatReport]:
-    lo, hi = args.window_lo, args.window_hi
-    # the shift by 1 moves the window to [lo - 1, hi - 1], which must still
-    # hold both rectangles, the last at lo + 2
-    if hi - lo < 3:
-        raise ValueError(
-            f"conditional-law needs window_hi - window_lo >= 3 for its shifted "
-            f"rectangles at indices {lo + 1} and {lo + 2}, got window [{lo}, {hi}]"
-        )
     config = _config(args)
+    # intervals sized for standard-normal values
+    deltas = [
+        CylinderSet(start=config.window[0] + 1, intervals=((-0.5, 0.5),)),
+        CylinderSet(start=config.window[0] + 2, intervals=((0.0, 1.5),)),
+    ]
+    _fit(config.window, deltas, [1])
     reports = [conditional_law_demo(args.rho, args.a, config)]
     # the shift comparison needs many replicas, not a huge per-replica ensemble
     shift_config = replace(config, particle_count=min(200, config.particle_count))
     sampler = gaussian_pair_sampler(args.rho, args.a, shift_config)
-
+    seed = substream(args.seed, "pair-shift-proj")
     # side b replica r is side a replica r shifted, so the KS samples are not independent
-    def shifted(r: int):
-        return shift_path(sampler(r), 1)
-
-    # intervals sized for standard-normal values
-    deltas = [
-        CylinderSet(start=lo + 1, intervals=((-0.5, 0.5),)),
-        CylinderSet(start=lo + 2, intervals=((0.0, 1.5),)),
-    ]
-    reports.append(
-        distributions_equal(
-            sampler,
-            shifted,
-            deltas,
-            replicas=config.sample_size,
-            alpha=config.alpha,
-            seed=substream(args.seed, "pair-shift-proj"),
-            name="conditional_law:shift=1",
-        )
-    )
+    reports.append(_shift_report(sampler, sampler, 1, deltas, config, seed, "conditional_law"))
     return reports
 
 
@@ -270,15 +251,11 @@ def _diagnose_consistency(args) -> list[StatReport]:
     future_root = substream(args.seed, "consistency-future")
     checks = []
     for pair in range(args.pairs):
-        past = NoiseModel(seed=int(draw_u64(past_root, pair))).window(lo + 1, split - lo)
-        fut_a = NoiseModel(seed=int(draw_u64(future_root, 2 * pair))).window(
-            split + 1, hi - split
-        )
-        fut_b = NoiseModel(seed=int(draw_u64(future_root, 2 * pair + 1))).window(
-            split + 1, hi - split
-        )
-        noise_a = Window(offset=lo + 1, values=np.concatenate([past.values, fut_a.values]))
-        noise_b = Window(offset=lo + 1, values=np.concatenate([past.values, fut_b.values]))
+        past = NoiseModel(seed=int(draw_u64(past_root, pair))).driving((lo, split))
+        fut_a = NoiseModel(seed=int(draw_u64(future_root, 2 * pair))).driving((split, hi))
+        fut_b = NoiseModel(seed=int(draw_u64(future_root, 2 * pair + 1))).driving((split, hi))
+        noise_a = Window(offset=past.offset, values=np.concatenate([past.values, fut_a.values]))
+        noise_b = Window(offset=past.offset, values=np.concatenate([past.values, fut_b.values]))
         checks.append(consistency_check(builder, noise_a, noise_b, split))
     return _failure_fraction("consistency", checks, args.seed)
 
@@ -286,8 +263,7 @@ def _diagnose_consistency(args) -> list[StatReport]:
 def _diagnose_equivariance(args) -> list[StatReport]:
     shifts = _shifts(args.shifts)
     builder = _builder(args)
-    lo, hi = builder.window
-    noise = NoiseModel(seed=substream(args.seed, "equivariance-noise")).window(lo + 1, hi - lo)
+    noise = NoiseModel(seed=substream(args.seed, "equivariance-noise")).driving(builder.window)
     checks = [shift_equivariance_check(builder, noise, t) for t in shifts]
     return _failure_fraction("equivariance", checks, args.seed)
 

@@ -75,6 +75,26 @@ def _shifts(shifts: Sequence[int]) -> list[int]:
     return shifts
 
 
+def _fit(window: tuple[int, int], deltas: Sequence[CylinderSet], shifts: Sequence[int]) -> None:
+    """Refuses a rectangle that leaves ``window`` or its translate by any of ``shifts``."""
+    lo, hi = window
+    for t in shifts:
+        for d in deltas:
+            if d.start < max(lo, lo - t) or d.last_index > min(hi, hi - t):
+                raise CoverageError(
+                    f"rectangle at [{d.start}, {d.last_index}] leaves the window "
+                    f"after shifting by {t}, got window [{lo}, {hi}]"
+                )
+
+
+def _index(window: tuple[int, int], n: int) -> int:
+    """``n`` as an int; refuses an index outside ``window``."""
+    n = operator.index(n)
+    if not window[0] <= n <= window[1]:
+        raise CoverageError(f"index {n} outside window {window}")
+    return n
+
+
 @dataclass(frozen=True)
 class RotationState:
     """A point in the plane."""
@@ -104,7 +124,7 @@ class DiagnosticsConfig:
     def __post_init__(self):
         lo, hi = map(operator.index, self.window)
         object.__setattr__(self, "window", (lo, hi))
-        for name in ("sample_size", "particle_count"):
+        for name in ("sample_size", "particle_count", "seed"):
             object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.sample_size < 100:
             raise ValueError("sample_size must be at least 100")
@@ -132,13 +152,11 @@ def tsirelson_samples(
     :func:`tsirelson_statistic`; it can be dumped for external plotting.
     """
     update_map = update_map if update_map is not None else fractional_map()
-    lo, hi = config.window
-    if not lo <= n <= hi:
-        raise CoverageError(f"index {n} outside window {config.window}")
+    n = _index(config.window, n)
     replicas = np.arange(config.sample_size)
     init_seeds = draw_u64(substream(config.seed, "tsirelson-init"), replicas)
     noise_seeds = draw_u64(substream(config.seed, "tsirelson-noise"), replicas)
-    noise = (draw_unit(noise_seeds, k) for k in range(lo + 1, n + 1))
+    noise = (draw_unit(noise_seeds, k) for k in range(config.window[0] + 1, n + 1))
     return advance(update_map.apply, draw_unit(init_seeds, 0), noise)
 
 
@@ -179,9 +197,7 @@ def conditional_char_statistic(
     strong-solution contrast.
     """
     update_map = update_map if update_map is not None else fractional_map()
-    lo, hi = config.window
-    if not lo <= n <= hi:
-        raise CoverageError(f"index {n} outside window {config.window}")
+    n = _index(config.window, n)
     if noise_paths < 1:
         raise ValueError("noise_paths must be positive")
     init_root = substream(config.seed, "cond-char-init")
@@ -192,7 +208,7 @@ def conditional_char_statistic(
         builder = MeasureBuilder(
             update_map, config.particle_count, config.window, int(draw_u64(init_root, p))
         )
-        noise = NoiseModel(seed=int(draw_u64(noise_root, p))).window(lo + 1, hi - lo)
+        noise = NoiseModel(seed=int(draw_u64(noise_root, p))).driving(config.window)
         return _circle_modulus(conditional_measure(builder, noise).column(n))
 
     statistic = max(path_modulus(p) for p in range(noise_paths))
@@ -236,6 +252,18 @@ def default_cylinder_family(
     return family
 
 
+def _shift_report(sampler_a, sampler_b, t, deltas, config, seed, prefix) -> StatReport:
+    """Report ``{prefix}:shift={t}``: ``sampler_a`` against ``sampler_b`` translated by ``t``."""
+
+    def shifted(r: int) -> ParticleMeasure:
+        return shift_path(sampler_b(r), t)
+
+    return distributions_equal(
+        sampler_a, shifted, deltas, replicas=config.sample_size, alpha=config.alpha,
+        seed=seed, name=f"{prefix}:shift={t}",
+    )
+
+
 def stationarity_suite(
     builder: MeasureBuilder,
     shifts: Sequence[int],
@@ -251,40 +279,25 @@ def stationarity_suite(
     every shifted rectangle is checked before any measure is built.
     """
     shifts = _shifts(shifts)
-    lo, hi = builder.window
-    for t in shifts:
-        for d in deltas:
-            if d.start < max(lo, lo - t) or d.last_index > min(hi, hi - t):
-                raise CoverageError(
-                    f"rectangle at [{d.start}, {d.last_index}] leaves the window "
-                    f"after shifting by {t}"
-                )
+    _fit(builder.window, deltas, shifts)
     reports = []
     for t in shifts:
         seeds = (substream(config.seed, f"stationarity-{side}:{t}") for side in "ab")
-        sampler_a, base_b = (conditional_measure_sampler(builder, s) for s in seeds)
-
-        def shifted(r: int) -> ParticleMeasure:
-            return shift_path(base_b(r), t)
-
-        reports.append(
-            distributions_equal(
-                sampler_a,
-                shifted,
-                deltas,
-                replicas=config.sample_size,
-                alpha=config.alpha,
-                seed=substream(config.seed, f"stationarity-proj:{t}"),
-                name=f"stationarity:shift={t}",
-            )
-        )
+        samplers = [conditional_measure_sampler(builder, s) for s in seeds]
+        proj = substream(config.seed, f"stationarity-proj:{t}")
+        reports.append(_shift_report(*samplers, t, deltas, config, proj, "stationarity"))
     return reports
+
+
+def _rotate(x1, x2, t: float):
+    """``(x1, x2)`` rotated by angle ``t`` around the origin; floats or arrays."""
+    c, s = math.cos(t), math.sin(t)
+    return x1 * c - x2 * s, x1 * s + x2 * c
 
 
 def rotation_flow(state: RotationState, t: float) -> RotationState:
     """Rotate the point by angle ``t`` around the origin (the exact flow)."""
-    c, s = math.cos(t), math.sin(t)
-    return RotationState(x1=state.x1 * c - state.x2 * s, x2=state.x1 * s + state.x2 * c)
+    return RotationState(*_rotate(state.x1, state.x2, t))
 
 
 def rotation_invariance_demo(
@@ -302,10 +315,7 @@ def rotation_invariance_demo(
     n = config.sample_size
     cloud = draw_normal(substream(config.seed, "rotation-cloud"), np.arange(2 * n))
     cloud = cloud.reshape(n, 2) + np.asarray(mean)
-    c, s = math.cos(t), math.sin(t)
-    rotated = np.column_stack(
-        [cloud[:, 0] * c - cloud[:, 1] * s, cloud[:, 0] * s + cloud[:, 1] * c]
-    )
+    rotated = np.column_stack(_rotate(cloud[:, 0], cloud[:, 1], t))
     centered_stat = float(np.max(np.abs(rotated.mean(axis=0))))
     cov = np.cov(rotated, rowvar=False)
     cov_stat = float(np.max(np.abs(cov - np.eye(2))))
@@ -348,12 +358,11 @@ def gaussian_pair_conditional_samples(
     with mean ``rho * y_n`` and variance ``1 - rho^2``.
     """
     sigma = _pair_sigma(rho, a)
+    indices = [_index(config.window, n) for n in indices]
     lo, hi = config.window
     y = _stationary_gaussian_path(a, config.seed, lo, hi)
     out = {}
     for n in indices:
-        if not lo <= n <= hi:
-            raise CoverageError(f"index {n} outside window {config.window}")
         eps = draw_normal(
             substream(config.seed, f"pair-eps:{n}"), np.arange(config.particle_count)
         )

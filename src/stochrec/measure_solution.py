@@ -141,10 +141,9 @@ def conditional_measure_sampler(builder: MeasureBuilder, noise_seed: int) -> Mea
     initializer ensemble is fixed by the builder, so each realization is a
     function of its noise alone.
     """
-    lo, hi = builder.window
 
     def sample(replica: int) -> ParticleMeasure:
-        noise = NoiseModel(int(draw_u64(noise_seed, replica))).window(lo + 1, hi - lo)
+        noise = NoiseModel(int(draw_u64(noise_seed, replica))).driving(builder.window)
         return conditional_measure(builder, noise)
 
     return sample
@@ -317,6 +316,7 @@ def consistency_check(
     """
     if noise_a.offset != noise_b.offset or len(noise_a) != len(noise_b):
         raise CoverageError("noise windows must share offset and length")
+    n = operator.index(n)
     lo, hi = builder.window
     mu_a = conditional_measure(builder, noise_a)
     mu_b = conditional_measure(builder, noise_b)

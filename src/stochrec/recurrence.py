@@ -6,7 +6,7 @@ Every loop through noise goes through one kernel, :func:`advance`.
 
 Index convention: when the state starts at index ``n0``, the noise window
 starts at ``n0 + 1``, and the step into index ``k + 1`` consumes the noise
-value at index ``k + 1``.
+value at index ``k + 1``; :meth:`NoiseModel.driving` draws that window.
 """
 
 import math
@@ -120,6 +120,11 @@ class NoiseModel:
         values = draw_unit(self.seed, counter_range(first_index, length))
         values.setflags(write=False)
         return Window(offset=first_index, values=values)
+
+    def driving(self, window: tuple[int, int]) -> Window:
+        """The noise at ``lo + 1 .. hi``, which drives a path on ``window = (lo, hi)``."""
+        lo, hi = window
+        return self.window(lo + 1, hi - lo)
 
 
 def advance(step: Callable, x, noise_values, out: np.ndarray | None = None):

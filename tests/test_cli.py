@@ -474,6 +474,30 @@ class TestBadInput:
         assert f"got window [0, {window_hi}]" in capsys.readouterr().err
         assert demo_calls == []
 
+    def test_conditional_law_shifted_rectangle_exit_2(self, tmp_path, capsys):
+        # window [0, 2] holds both rectangles, at 1 and 2, but its shift by 1
+        # is [-1, 1], which the one at 2 leaves; stationarity's check refuses it
+        out = tmp_path / "cl.json"
+        code = main(
+            ["diagnose", "conditional-law", "--window-hi", "2", "--n", "100",
+             "--particles", "100", "--out", str(out)]
+        )
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "stochrec: rectangle at [2, 2] leaves the window after shifting by 1, "
+            "got window [0, 2]\n"
+        )
+
+    def test_conditional_law_bad_size_reported_before_window(self, tmp_path, capsys):
+        # the sizes are checked when the config is built, before the rectangles
+        out = tmp_path / "cl.json"
+        code = main(
+            ["diagnose", "conditional-law", "--window-hi", "1", "--n", "10", "--out", str(out)]
+        )
+        assert code == 2
+        assert "sample_size must be at least 100" in capsys.readouterr().err
+
     def test_out_of_memory_exit_2(self, tmp_path, capsys):
         # the particle array alone would take petabytes; numpy refuses the
         # allocation outright, before anything is written

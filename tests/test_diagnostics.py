@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stochrec import diagnostics
+from stochrec import diagnostics, measure_solution
 from stochrec.diagnostics import (
     DiagnosticsConfig,
     RotationState,
@@ -20,7 +20,7 @@ from stochrec.diagnostics import (
     tsirelson_statistic,
 )
 from stochrec.errors import CoverageError
-from stochrec.measure_solution import MeasureBuilder, conditional_measure
+from stochrec.measure_solution import MeasureBuilder, conditional_measure, consistency_check
 from stochrec.path_space import shift_path
 from stochrec.random_measure import CylinderSet, distributions_equal, integrate
 from stochrec.recurrence import NoiseModel, contraction_map, fractional_map, stationary_sampler
@@ -92,6 +92,40 @@ class TestConfigTypes:
         cfg = config(sample_size=np.int64(400), window=[np.int64(0), np.int64(8)])
         assert type(cfg.sample_size) is int
         assert cfg.window == (0, 8) and all(type(i) is int for i in cfg.window)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda: config(seed=1.5),
+            lambda: consistency_check(
+                MeasureBuilder(fractional_map(), 10, (0, 8), 3),
+                NoiseModel(1).driving((0, 8)),
+                NoiseModel(2).driving((0, 8)),
+                4.0,
+            ),
+            lambda: tsirelson_samples(config(), 5.0),
+            lambda: conditional_char_statistic(config(), 5.0),
+            lambda: gaussian_pair_conditional_samples(0.8, 0.5, config(), [1, 5.0]),
+        ],
+        ids=[
+            "config_seed",
+            "consistency_check",
+            "tsirelson_samples",
+            "conditional_char_statistic",
+            "gaussian_pair_conditional_samples",
+        ],
+    )
+    def test_float_position_refused_before_any_build(self, entry, monkeypatch):
+        # each used to build (or draw) first, then fail with "slice indices must
+        # be integers" or "seeds and counters must be integers"
+        def refuse(*args):
+            raise AssertionError("a measure was built")
+
+        monkeypatch.setattr(diagnostics, "conditional_measure", refuse)
+        monkeypatch.setattr(measure_solution, "conditional_measure", refuse)
+        monkeypatch.setattr(diagnostics, "_stationary_gaussian_path", refuse)
+        with pytest.raises(TypeError):
+            entry()
 
     def test_rotation_state_finite(self):
         with pytest.raises(ValueError):
@@ -385,6 +419,15 @@ class TestConditionalLawDemo:
         with pytest.raises(ValueError) as info:
             entry(rho, a, config())
         assert str(info.value) == f"{name} must satisfy |{name}| < 1, got {value}"
+
+    def test_out_of_window_index_refused_before_any_draw(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("drew before refusing")
+
+        monkeypatch.setattr(diagnostics, "_stationary_gaussian_path", refuse)
+        monkeypatch.setattr(diagnostics, "draw_normal", refuse)
+        with pytest.raises(CoverageError, match=r"index 99 outside window \(0, 8\)"):
+            gaussian_pair_conditional_samples(0.8, 0.5, config(), [1, 99])
 
     def test_conditional_mean_tracks_driver(self):
         rho, a = 0.8, 0.5

@@ -312,6 +312,23 @@ class TestNoiseModel:
         assert window.offset == first and window.last_index == first + 5
         assert window == Window(first, draw_unit(7, counters))
 
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        lo=st.integers(-(2**64) - 8, 2**64 + 8),
+        length=st.integers(1, 12),
+    )
+    @example(seed=7, lo=2**63 - 3, length=6)
+    @example(seed=7, lo=2**64 - 3, length=6)
+    @example(seed=7, lo=-(2**63) - 3, length=6)
+    def test_driving_is_the_window_right_of_the_left_edge(self, seed, lo, length):
+        # a path on (lo, hi) is driven by the noise at lo + 1 .. hi
+        model = NoiseModel(seed)
+        assert model.driving((lo, lo + length)) == model.window(lo + 1, length)
+
+    def test_driving_refuses_an_empty_window(self):
+        with pytest.raises(ValueError, match="length must be positive"):
+            NoiseModel(seed=3).driving((5, 5))
+
 
 class TestStationarySampler:
     def test_initializer_coordinate_exact(self):

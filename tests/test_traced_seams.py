@@ -55,8 +55,19 @@ def traced_calls(tmp_path, argv):
             ["simulate", "fractional", "1000", "--seed", "5"],
             {"window": 1, "apply": 1000},
         ),
+        # per pair: one past and two future windows, two builds, one check
+        (
+            ["diagnose", "consistency", "--pairs", "10", "--seed", "5"],
+            {"build": 20, "window": 30, "check": 10},
+        ),
+        # one shift comparison over 100 replicas x 2 sides x 2 rectangles; one
+        # KS per rectangle plus one projection, and four demo indices
+        (
+            ["diagnose", "conditional-law", "--n", "100", "--particles", "100", "--seed", "5"],
+            {"dist_eq": 1, "cylinder": 400, "ks": 7},
+        ),
     ],
-    ids=["stationarity", "hopf-check", "simulate"],
+    ids=["stationarity", "hopf-check", "simulate", "consistency", "conditional-law"],
 )
 def test_pinned_counts(tmp_path, argv, expected):
     calls = traced_calls(tmp_path, argv)
