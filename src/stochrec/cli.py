@@ -38,7 +38,7 @@ from .measure_solution import (
     conditional_measure,
     perturb_last_coordinate,
     random_char_specs,
-    residual_report,
+    residual_reports,
     shift_equivariance_check,
     consistency_check,
 )
@@ -136,7 +136,7 @@ def cmd_hopf_check(args) -> int:
     specs = char_spec_grid(window) + random_char_specs(
         window, args.specs, substream(args.seed, "hopf-specs")
     )
-    reports = [residual_report(mu, noise, spec, update_map) for spec in specs]
+    reports = residual_reports(mu, noise, specs, update_map)
     max_residual = max(r["residual"] for r in reports)
     passed = max_residual <= HOPF_TOLERANCE
     manifest = _finish_manifest(

@@ -99,7 +99,8 @@ class StatReport:
     passed: bool = field(init=False)
 
     def __post_init__(self):
-        types = {"statistic": float, "threshold": float, "sample_size": int, "seed": int}
+        types = {"statistic": float, "threshold": float,
+                 "sample_size": operator.index, "seed": operator.index}
         for name, kind in types.items():
             object.__setattr__(self, name, kind(getattr(self, name)))
         object.__setattr__(self, "passed", self.statistic <= self.threshold)

@@ -22,6 +22,7 @@ from stochrec.measure_solution import (
     perturb_last_coordinate,
     random_char_specs,
     residual_report,
+    residual_reports,
     shift_equivariance_check,
 )
 from stochrec.path_space import Window, shift_path
@@ -445,6 +446,44 @@ class TestPhaseFold:
         assert bits(hopf_lhs(mu, spec)) == bits(row_sum_lhs(mu, spec))
         assert bits(hopf_rhs(mu, noise, spec, fm)) == bits(row_sum_rhs(mu, noise, spec, fm))
 
+    def test_negative_zero_phase_is_where_the_forms_differ(self):
+        # sin(-0.0) is -0.0, while 1j * -0.0 has imaginary part +0.0 and so
+        # does its exp; the 1 / P scaling is a complex product that adds
+        # 0 * cos(-0.0) = +0.0 to the imaginary part, so the integrals agree
+        phases = np.array([-0.0, 0.0])
+        trig = np.empty(2, complex)
+        np.cos(phases, out=trig.real)
+        np.sin(phases, out=trig.imag)
+        assert bits(*trig) == bits(1.0, -0.0, 1.0, 0.0)
+        assert bits(*np.exp(1j * phases)) == bits(1.0, 0.0, 1.0, 0.0)
+        mu = ParticleMeasure(0, np.zeros((2, 1)))
+        integral = measure_solution._char_integral(mu, phases)
+        assert bits(integral) == bits(reference_integrate(mu, np.exp(1j * phases))) == bits(1.0, 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        listed=st.lists(
+            st.one_of(
+                st.floats(-1e6, 1e6, allow_subnormal=True),
+                st.sampled_from([0.0, 5e-324, -5e-324, 2.0**-1030, -(2.0**-1030), 1e6, -1e6]),
+            ),
+            min_size=1,
+            max_size=64,
+        ),
+        bulk=st.integers(0, 3000),
+        scale=st.sampled_from([1e-300, 1e-3, 1.0, 12.0, 1e3, 1e6]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_char_integral_equals_exp_bit_for_bit(self, listed, bulk, scale, seed):
+        # finite phases without -0.0 (x + 0.0 turns -0.0 into +0.0), as
+        # _phases yields them; the bulk runs numpy's vector loops, not only
+        # their scalar tails
+        drawn = scale * (2.0 * draw_unit(seed, np.arange(bulk)) - 1.0)
+        phases = np.concatenate([np.asarray(listed), drawn]) + 0.0
+        mu = ParticleMeasure(0, np.zeros((len(phases), 1)))
+        expected = complex(reference_integrate(mu, np.exp(1j * phases)))
+        assert bits(measure_solution._char_integral(mu, phases)) == bits(expected)
+
     @pytest.mark.parametrize("update_map", [fractional_map(), contraction_map(0.5)])
     def test_residual_exactly_zero_at_any_order(self, update_map):
         # both sides fold the same terms in the same order, so high orders
@@ -538,9 +577,45 @@ class TestHopfShortcut:
         mu, noise, specs = self.construct(update_map)
         if perturbed:
             mu = perturb_last_coordinate(mu, seed=5)
-        for spec in specs:
+        keys = ("lhs_re", "lhs_im", "rhs_re", "rhs_im", "residual")
+        reports = residual_reports(mu, noise, specs, update_map)
+        assert len(reports) == len(specs)
+        for spec, batched in zip(specs, reports):
             report = residual_report(mu, noise, spec, update_map)
             assert bits(hopf_residual(mu, noise, spec, update_map)) == bits(report["residual"])
+            assert batched["spec"] == report["spec"] == spec.as_dict()
+            assert bits(*[batched[k] for k in keys]) == bits(*[report[k] for k in keys])
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_one_apply_per_last_column(self, perturbed):
+        # the CLI's default probes on window 16: 45 grid and 32 random ones
+        window = (0, 15)
+        builder = make_builder(particles=100, window=window)
+        noise = make_noise(window=window)
+        mu = conditional_measure(builder, noise)
+        if perturbed:
+            mu = perturb_last_coordinate(mu, seed=5)
+        specs = char_spec_grid(window) + random_char_specs(window, 32, seed=5)
+        assert len(specs) == 77
+        lasts = {spec.n + spec.m + 1 for spec in specs}
+        assert len(lasts) <= 14
+        applied = []
+        plain = fractional_map()
+
+        def apply(x, xi):
+            applied.append(np.shape(x))
+            return plain.apply(x, xi)
+
+        counting = UpdateMap("counting", apply)
+        for spec in specs:
+            residual_report(mu, noise, spec, counting)
+        per_probe = len(applied)
+        del applied[:]
+        residual_reports(mu, noise, specs, counting)
+        # perturbed, hopf_rhs applies once more on each probe reading the shuffled column
+        rhs_applies = sum(spec.n + spec.m + 1 == window[1] for spec in specs) if perturbed else 0
+        assert per_probe == 77 + rhs_applies
+        assert len(applied) == len(lasts) + rhs_applies
 
 
 class TestLayout:

@@ -279,6 +279,12 @@ class TestStatReport:
         assert [type(v) for v in (report.sample_size, report.seed)] == [int, int]
         assert (report.threshold, report.seed) == (1.0, 2**64 - 1)
 
+    @pytest.mark.parametrize("args", [(3.7, 1), (3, 1.9), (np.float64(3.0), 1), (3, "1")])
+    def test_non_integer_sizes_and_seeds_refused(self, args):
+        # int() would store 3.7 as 3 and 1.9 as 1
+        with pytest.raises(TypeError):
+            StatReport("t", 0.1, 0.2, *args)
+
     def test_serialization_fields(self):
         report = StatReport("demo", 0.5, 1.0, 100, 7)
         # reports are written with json.dumps(..., sort_keys=True)

@@ -2,8 +2,9 @@
 
 The benchmark's traced self-check counts calls of named functions
 (``conditional_measure`` builds, noise windows, map applies, rectangles, KS
-statistics and Hopf probes) and fails if a count differs from the one
-derived from the workload's sizes.  A refactor that routes a call around one
+statistics, and Hopf probes, whose ``probe`` group the ``hopf_lhs`` and
+``hopf_rhs`` spans feed) and fails if a count differs from the one derived
+from the workload's sizes.  A refactor that routes a call around one
 of those names zeroes its count; this test runs ``perfbench/child.py`` with
 the tracer on small sizes, so such a route change fails here rather than
 only in a traced benchmark run.  It reads ``perfbench/`` and changes nothing
@@ -45,7 +46,9 @@ def traced_calls(tmp_path, argv):
             ["diagnose", "stationarity", "--n", "100", "--shifts", "1", "--seed", "5"],
             {"build": 200, "window": 200, "apply": 2400, "cylinder": 1200, "ks": 7},
         ),
-        # window 16: 45 grid probes plus 32 random ones on one ensemble
+        # window 16: 45 grid probes plus 32 random ones on one ensemble, one
+        # hopf_lhs span each (the map reproduces every last column, so no
+        # probe integrates hopf_rhs)
         (
             ["hopf-check", "fractional", "--particles", "1000", "--seed", "5"],
             {"build": 1, "probe": 77},
