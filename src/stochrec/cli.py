@@ -3,9 +3,10 @@ write JSON/CSV reports that embed their run manifest.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage error, 3 I/O
 failure.  Repeated runs with the same arguments produce byte-identical
-payloads (timestamps aside).  Every computation runs in one thread;
-``--threads`` is accepted for compatibility and changes neither results
-nor speed.
+payloads (timestamps aside).  Only a Hopf probe on a large ensemble uses
+more than one thread, splitting its elementwise work over the process's
+CPUs; ``--threads`` is accepted for compatibility and changes neither
+results nor speed.
 """
 
 import argparse
@@ -316,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=1,
-            help="accepted for compatibility; changes neither results nor speed",
+            help="accepted for compatibility; ignored (large Hopf probes use every CPU)",
         )
 
     p_sim = sub.add_parser("simulate", help="run one trajectory and write it as CSV")

@@ -14,6 +14,8 @@ noise.
 """
 
 import operator
+import os
+import threading
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -24,6 +26,9 @@ from .path_space import Window, _same_bits, shift_path
 from .random_measure import MeasureSampler, ParticleMeasure
 from .recurrence import NoiseModel, UpdateMap, _init_interval, advance
 from .seeds import draw_u64, draw_unit, substream
+
+# fewest particle rows per part of a probe: smaller parts ran slower than one thread
+_PART_ROWS = 80_000
 
 __all__ = [
     "CharSpec",
@@ -150,21 +155,6 @@ def conditional_measure_sampler(builder: MeasureBuilder, noise_seed: int) -> Mea
     return sample
 
 
-def _phases(block: np.ndarray, freqs) -> np.ndarray:
-    """``sum_k freqs[k] * block[:, k]`` per particle, as a left fold over columns.
-
-    Starts from ``+0.0`` and adds the columns in order, which is how numpy's
-    row reduction ``(block * freqs).sum(axis=1)`` sums rows shorter than 8
-    (pairwise summation takes over from 8), so both give the same bits,
-    signed zeros included.  On a column-major block every term is a
-    contiguous column and no ``(P, k)`` product is formed.
-    """
-    phases = np.zeros(block.shape[0])
-    for column, freq in zip(block.T, freqs):
-        phases += column * freq
-    return phases
-
-
 def hopf_lhs(mu: ParticleMeasure, spec: CharSpec) -> complex:
     """Characteristic functional of coordinates ``n+1 .. n+m+1``.
 
@@ -174,7 +164,7 @@ def hopf_lhs(mu: ParticleMeasure, spec: CharSpec) -> complex:
     coordinate order; :func:`hopf_rhs` folds its phases the same way.
     """
     block = mu.span(spec.n + 1, spec.n + spec.m + 1)
-    return _char_integral(mu, _phases(block, spec.lambdas + (spec.rho,)))
+    return _probe_integral(block.T, spec.lambdas + (spec.rho,))
 
 
 def hopf_rhs(
@@ -187,28 +177,57 @@ def hopf_rhs(
     """
     block = mu.span(spec.n + 1, spec.n + spec.m)
     stepped = update_map.apply(block[:, -1], noise.coordinate(spec.n + spec.m + 1))
-    phases = _phases(block, spec.lambdas)
-    phases += spec.rho * stepped
-    del stepped  # one real and one complex array at most are live below
-    return _char_integral(mu, phases)
+    return _probe_integral((*block.T, stepped), spec.lambdas + (spec.rho,))
 
 
-def _char_integral(mu: ParticleMeasure, phases: np.ndarray) -> complex:
-    """``integrate(mu, np.exp(1j * phases))``, bit for bit, in one buffer.
+def _probe_integral(columns, freqs) -> complex:
+    """The uniform average of ``exp(i sum_k freqs[k] * columns[k])`` over the rows.
 
-    ``cos`` and ``sin`` write the real and imaginary views of one complex
-    array, which is ``exp(1j * x)`` bit for bit for every finite ``x`` but
-    ``-0.0`` (whose sine is ``-0.0`` against ``exp``'s ``+0.0``; the fold in
-    :func:`_phases` never yields it).  This skips the complex product and the
-    complex ``exp``.  The scaling by ``1 / P`` runs in place, so a probe side
-    holds one complex array besides its real phases: separate temporaries
-    would let each probe on a large ensemble grow the heap past glibc's trim
-    threshold, and every probe would then fault in fresh pages.
+    Each row's phase is a left fold from ``+0.0`` over the columns in order,
+    as numpy's row reduction ``(block * freqs).sum(axis=1)`` sums rows
+    shorter than 8, so both give the same bits, signed zeros included; each
+    term is a contiguous column of a column-major block.  ``cos`` and ``sin``
+    fill the real and imaginary views of one complex buffer, which is
+    ``exp(1j * x)`` bit for bit for every finite ``x`` but ``-0.0`` (the fold
+    never yields it), and the ``1 / P`` scaling runs in place.  The calling
+    thread allocates all a probe side holds, one complex buffer and two real
+    arrays (phases and the current term), and each part writes its rows of
+    them: allocating in a worker grows that thread's own malloc arena, and
+    more temporaries would let each probe on a large ensemble grow the heap
+    past glibc's trim threshold and fault in fresh pages.
+
+    Every step is elementwise, so the rows are cut into parts of at least
+    ``_PART_ROWS``, at most one per CPU the process may run on; the calling
+    thread fills part 0 and one thread each fills the others.  The sum runs
+    once over the whole buffer, so the cut changes no bit of the result.
     """
-    values = np.empty(len(phases), complex)
-    np.cos(phases, out=values.real)
-    np.sin(phases, out=values.imag)
-    return complex(np.multiply(1.0 / mu.particle_count, values, out=values).sum())
+    count = len(columns[0])
+    values, phases, terms = np.empty(count, complex), np.zeros(count), np.empty(count)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    parts = max(1, min(cpus, count // _PART_ROWS))
+    errors = []
+
+    def fill(part):
+        try:
+            rows = slice(count * part // parts, count * (part + 1) // parts)
+            folded, term, out = phases[rows], terms[rows], values[rows]
+            for column, freq in zip(columns, freqs):
+                folded += np.multiply(column[rows], freq, out=term)
+            np.cos(folded, out=out.real)
+            np.sin(folded, out=out.imag)
+            np.multiply(1.0 / count, out, out=out)
+        except BaseException as exc:
+            errors.append(exc)
+
+    workers = [threading.Thread(target=fill, args=(part,)) for part in range(1, parts)]
+    for worker in workers:
+        worker.start()
+    fill(0)
+    for worker in workers:
+        worker.join()
+    if errors:
+        raise errors[0]
+    return complex(values.sum())
 
 
 def hopf_residual(
@@ -246,7 +265,7 @@ def residual_reports(
         if last not in reproduced:
             stepped = update_map.apply(mu.column(last - 1), noise.coordinate(last))
             reproduced[last] = stepped.dtype == np.float64 and _same_bits(stepped, mu.column(last))
-            del stepped  # hopf_rhs steps again; one phase array is live at a time
+            del stepped  # hopf_rhs steps again; one map output is live at a time
         rhs = lhs if reproduced[last] else hopf_rhs(mu, noise, spec, update_map)
         reports.append({"spec": spec.as_dict(), "lhs_re": lhs.real, "lhs_im": lhs.imag,
                         "rhs_re": rhs.real, "rhs_im": rhs.imag, "residual": abs(lhs - rhs)})

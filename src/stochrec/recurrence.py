@@ -115,6 +115,7 @@ class NoiseModel:
 
     def window(self, first_index: int, length: int) -> Window:
         """Noise values at absolute indices ``first_index .. first_index+length-1``."""
+        first_index, length = operator.index(first_index), operator.index(length)
         if length < 1:
             raise ValueError("noise window length must be positive")
         values = draw_unit(self.seed, counter_range(first_index, length))

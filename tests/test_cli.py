@@ -1,11 +1,13 @@
 import hashlib
 import json
+import os
 import re
 import threading
 
+import numpy as np
 import pytest
 
-from stochrec import cli, diagnostics
+from stochrec import cli, diagnostics, measure_solution
 from stochrec.cli import _write_json, main
 
 
@@ -122,6 +124,61 @@ class TestHopfCheck:
     def test_window_too_small_exit_2(self, tmp_path):
         args = ["hopf-check", "fractional", "--window", "2", "--out", str(tmp_path / "x.json")]
         assert main(args) == 2
+
+
+class TestHopfCheckThreads:
+    """Probes on at least two parts' worth of particles split over the CPUs."""
+
+    def run(self, tmp_path, name, extra=()):
+        out = tmp_path / f"{name}.json"
+        args = ["hopf-check", "fractional", "--particles", str(2 * measure_solution._PART_ROWS),
+                "--perturb", "--seed", "3", *extra, "--out", str(out)]
+        assert main(args) == 1
+        return TestGoldenPayloads.digest(out)
+
+    def test_payload_ignores_threads_and_cpus(self, tmp_path, monkeypatch):
+        cpus = len(os.sched_getaffinity(0))
+        started, per_side = [], []
+        plain_start, plain_kernel = threading.Thread.start, measure_solution._probe_integral
+
+        def start(thread):
+            started.append(thread)
+            plain_start(thread)
+
+        def kernel(columns, freqs):
+            before = len(started)
+            value = plain_kernel(columns, freqs)
+            per_side.append(len(started) - before)
+            return value
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        monkeypatch.setattr(measure_solution, "_probe_integral", kernel)
+        digests = [self.run(tmp_path, t, ["--threads", t]) for t in ("1", "100000")]
+        # 77 left sides and one right side per probe reading the shuffled column
+        assert len(per_side) > 2 * 77
+        assert set(per_side) == {min(cpus, 2) - 1} and max(per_side) <= cpus - 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        del per_side[:]
+        digests.append(self.run(tmp_path, "one-cpu"))
+        assert set(per_side) == {0}
+        assert digests[0] == digests[1] == digests[2]
+
+    def test_worker_memory_error_exits_2(self, tmp_path, monkeypatch, capsys):
+        plain = np.sin
+
+        def sin(x, out):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("part")
+            return plain(x, out=out)
+
+        monkeypatch.setattr(np, "sin", sin)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(measure_solution, "_PART_ROWS", 500)
+        out = tmp_path / "hopf.json"
+        args = ["hopf-check", "fractional", "--particles", "2000", "--out", str(out)]
+        assert main(args) == 2
+        assert not out.exists()
+        assert "out of memory" in capsys.readouterr().err
 
 
 class TestGoldenPayloads:

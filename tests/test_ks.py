@@ -120,7 +120,8 @@ class TestOneSampleNormal:
 
 def test_cli_import_loads_no_scipy():
     # scipy.stats alone costs most of a second of every cold CLI start; and
-    # every computation runs in one thread, so no thread pool is imported
+    # the only threads are plain threading.Thread parts of a large Hopf
+    # probe (threading comes with numpy), so no thread pool is imported
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import stochrec, stochrec.cli, sys; "

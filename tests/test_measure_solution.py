@@ -1,7 +1,9 @@
 import cmath
 import json
 import math
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -390,6 +392,25 @@ def edited(mu, particle, index, value):
     return ParticleMeasure(mu.offset, values)
 
 
+@st.composite
+def edge_phases(draw):
+    """Finite phases without -0.0 (x + 0.0 turns -0.0 into +0.0), as the fold
+    yields them; the bulk runs numpy's vector loops, not only their scalar tails."""
+    listed = draw(st.lists(
+        st.one_of(
+            st.floats(-1e6, 1e6, allow_subnormal=True),
+            st.sampled_from([0.0, 5e-324, -5e-324, 2.0**-1030, -(2.0**-1030), 1e6, -1e6]),
+        ),
+        min_size=1,
+        max_size=64,
+    ))
+    bulk = draw(st.integers(0, 3000))
+    scale = draw(st.sampled_from([1e-300, 1e-3, 1.0, 12.0, 1e3, 1e6]))
+    seed = draw(st.integers(0, 2**64 - 1))
+    drawn = scale * (2.0 * draw_unit(seed, np.arange(bulk)) - 1.0)
+    return np.concatenate([np.asarray(listed), drawn]) + 0.0
+
+
 class TestPhaseFold:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -438,18 +459,18 @@ class TestPhaseFold:
         block = mu.span(1, 2)
         freqs = spec.lambdas + (spec.rho,)
         old = (np.ascontiguousarray(block) * np.asarray(freqs)).sum(axis=1)
-        phases = measure_solution._phases(block, freqs)
-        assert phases.view(np.int64).tolist() == old.view(np.int64).tolist() == [0, 0, 0]
-        lambda_only = measure_solution._phases(block[:, :1], spec.lambdas)
-        assert lambda_only.view(np.int64).tolist() == [0, 0, 0]
+        assert old.view(np.int64).tolist() == [0, 0, 0]
+        # every phase +0.0: cos 1 and sin +0.0 on all three rows
+        assert bits(measure_solution._probe_integral(block.T, freqs)) == bits(1.0, 0.0)
+        assert bits(measure_solution._probe_integral(block.T[:1], spec.lambdas)) == bits(1.0, 0.0)
         fm = fractional_map()
         assert bits(hopf_lhs(mu, spec)) == bits(row_sum_lhs(mu, spec))
         assert bits(hopf_rhs(mu, noise, spec, fm)) == bits(row_sum_rhs(mu, noise, spec, fm))
 
     def test_negative_zero_phase_is_where_the_forms_differ(self):
         # sin(-0.0) is -0.0, while 1j * -0.0 has imaginary part +0.0 and so
-        # does its exp; the 1 / P scaling is a complex product that adds
-        # 0 * cos(-0.0) = +0.0 to the imaginary part, so the integrals agree
+        # does its exp; the kernel's fold from +0.0 turns a -0.0 phase into
+        # +0.0, so the integrals agree
         phases = np.array([-0.0, 0.0])
         trig = np.empty(2, complex)
         np.cos(phases, out=trig.real)
@@ -457,32 +478,15 @@ class TestPhaseFold:
         assert bits(*trig) == bits(1.0, -0.0, 1.0, 0.0)
         assert bits(*np.exp(1j * phases)) == bits(1.0, 0.0, 1.0, 0.0)
         mu = ParticleMeasure(0, np.zeros((2, 1)))
-        integral = measure_solution._char_integral(mu, phases)
+        integral = measure_solution._probe_integral((phases,), (1.0,))
         assert bits(integral) == bits(reference_integrate(mu, np.exp(1j * phases))) == bits(1.0, 0.0)
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        listed=st.lists(
-            st.one_of(
-                st.floats(-1e6, 1e6, allow_subnormal=True),
-                st.sampled_from([0.0, 5e-324, -5e-324, 2.0**-1030, -(2.0**-1030), 1e6, -1e6]),
-            ),
-            min_size=1,
-            max_size=64,
-        ),
-        bulk=st.integers(0, 3000),
-        scale=st.sampled_from([1e-300, 1e-3, 1.0, 12.0, 1e3, 1e6]),
-        seed=st.integers(0, 2**64 - 1),
-    )
-    def test_char_integral_equals_exp_bit_for_bit(self, listed, bulk, scale, seed):
-        # finite phases without -0.0 (x + 0.0 turns -0.0 into +0.0), as
-        # _phases yields them; the bulk runs numpy's vector loops, not only
-        # their scalar tails
-        drawn = scale * (2.0 * draw_unit(seed, np.arange(bulk)) - 1.0)
-        phases = np.concatenate([np.asarray(listed), drawn]) + 0.0
+    @given(phases=edge_phases())
+    def test_char_integral_equals_exp_bit_for_bit(self, phases):
         mu = ParticleMeasure(0, np.zeros((len(phases), 1)))
         expected = complex(reference_integrate(mu, np.exp(1j * phases)))
-        assert bits(measure_solution._char_integral(mu, phases)) == bits(expected)
+        assert bits(measure_solution._probe_integral((phases,), (1.0,))) == bits(expected)
 
     @pytest.mark.parametrize("update_map", [fractional_map(), contraction_map(0.5)])
     def test_residual_exactly_zero_at_any_order(self, update_map):
@@ -512,13 +516,13 @@ class TestHopfShortcut:
     @pytest.fixture
     def integrals(self, monkeypatch):
         calls = []
-        plain = measure_solution._char_integral
+        plain = measure_solution._probe_integral
 
-        def counted(mu, phases):
-            calls.append(len(phases))
-            return plain(mu, phases)
+        def counted(columns, freqs):
+            calls.append(len(columns[0]))
+            return plain(columns, freqs)
 
-        monkeypatch.setattr(measure_solution, "_char_integral", counted)
+        monkeypatch.setattr(measure_solution, "_probe_integral", counted)
         return calls
 
     @pytest.mark.parametrize("update_map", [fractional_map(), contraction_map(0.5)])
@@ -616,6 +620,93 @@ class TestHopfShortcut:
         rhs_applies = sum(spec.n + spec.m + 1 == window[1] for spec in specs) if perturbed else 0
         assert per_probe == 77 + rhs_applies
         assert len(applied) == len(lasts) + rhs_applies
+
+
+def cut_probes(mp, cpus, rows):
+    """Pretend the process may run on ``cpus`` CPUs and parts have ``rows`` rows;
+    return the list that each started thread is appended to."""
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    mp.setattr(measure_solution, "_PART_ROWS", rows)
+    started = []
+    plain = threading.Thread.start
+
+    def start(thread):
+        started.append(thread)
+        plain(thread)
+
+    mp.setattr(threading.Thread, "start", start)
+    return started
+
+
+class TestProbeSplit:
+    """A probe cut into parts over threads gives the one-part value, bit for bit."""
+
+    KEYS = ("lhs_re", "lhs_im", "rhs_re", "rhs_im", "residual")
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        particles=st.integers(1, 3000),
+        parts=st.integers(1, 4),
+        update_map=st.sampled_from([fractional_map(), contraction_map(0.5)]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_split_reports_equal_one_part(self, particles, parts, update_map, seed):
+        # the shuffled last column makes hopf_rhs integrate on the probes reading it
+        window = (0, 8)
+        builder = MeasureBuilder(update_map, particles, window, substream(seed, "init"))
+        noise = NoiseModel(substream(seed, "noise")).driving(window)
+        mu = perturb_last_coordinate(conditional_measure(builder, noise), seed)
+        specs = char_spec_grid(window) + random_char_specs(window, 6, seed)
+        kernel, sides = measure_solution._probe_integral, []
+
+        def counted(columns, freqs):
+            sides.append(len(columns[0]))
+            return kernel(columns, freqs)
+
+        def report_bits():
+            reports = residual_reports(mu, noise, specs, update_map)
+            return [bits(*[report[k] for k in self.KEYS]) for report in reports]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measure_solution, "_probe_integral", counted)
+            serial = cut_probes(mp, 1, 1)
+            whole = report_bits()
+            assert not serial
+            started = cut_probes(mp, parts, max(1, particles // parts))
+            del sides[:]
+            split = report_bits()
+        assert split == whole
+        assert len(started) == len(sides) * (min(parts, particles) - 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(phases=edge_phases(), parts=st.integers(2, 4))
+    def test_split_kernel_equals_one_part_on_edge_phases(self, phases, parts):
+        with pytest.MonkeyPatch.context() as mp:
+            serial = cut_probes(mp, 1, 1)
+            whole = measure_solution._probe_integral((phases,), (1.0,))
+            assert not serial
+            started = cut_probes(mp, parts, max(1, len(phases) // parts))
+            split = measure_solution._probe_integral((phases,), (1.0,))
+        assert bits(split) == bits(whole)
+        assert len(started) == min(parts, len(phases)) - 1
+
+    @pytest.mark.parametrize("error", [MemoryError, ValueError])
+    def test_a_worker_part_error_propagates(self, monkeypatch, error):
+        mu, noise, specs = TestHopfShortcut().construct(fractional_map())
+        mu = perturb_last_coordinate(mu, seed=5)
+        plain = np.sin
+
+        def sin(x, out):
+            if threading.current_thread() is not threading.main_thread():
+                raise error("part")
+            return plain(x, out=out)
+
+        monkeypatch.setattr(np, "sin", sin)
+        started = cut_probes(monkeypatch, 3, 50)
+        with pytest.raises(error, match="part"):
+            residual_reports(mu, noise, specs, fractional_map())
+        assert len(started) == 2
+        assert all(not thread.is_alive() for thread in started)
 
 
 class TestLayout:

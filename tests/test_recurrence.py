@@ -329,6 +329,17 @@ class TestNoiseModel:
         with pytest.raises(ValueError, match="length must be positive"):
             NoiseModel(seed=3).driving((5, 5))
 
+    @pytest.mark.parametrize("first, length", [(0, 2.5), (0, 3.0), (0.5, 3), (np.float64(1), 3)])
+    def test_window_refuses_non_integer_index_or_length(self, first, length):
+        # np.arange(2.5) has 3 elements, so a float length once drew 3 values
+        with pytest.raises(TypeError):
+            NoiseModel(seed=1).window(first, length)
+
+    def test_window_takes_numpy_integers(self):
+        window = NoiseModel(seed=1).window(np.int64(2), np.uint8(3))
+        assert window == NoiseModel(seed=1).window(2, 3)
+        assert type(window.offset) is int
+
 
 class TestStationarySampler:
     def test_initializer_coordinate_exact(self):
