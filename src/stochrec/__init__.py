@@ -24,7 +24,7 @@ from .diagnostics import (
     tsirelson_samples,
     tsirelson_statistic,
 )
-from .errors import CoverageError, InverseUnavailableError
+from .errors import CoverageError
 from .measure_solution import (
     CharSpec,
     MeasureBuilder,
@@ -44,7 +44,6 @@ from .path_space import (
     Window,
     shift_path,
     traj_metric,
-    truncate_path,
 )
 from .random_measure import (
     CylinderSet,
@@ -63,9 +62,7 @@ from .recurrence import (
     advance,
     contraction_map,
     fractional_map,
-    iterate_backward,
     iterate_forward,
-    stationary_sampler,
     update_map_from_name,
 )
 
@@ -75,7 +72,6 @@ __all__ = [
     "CoverageError",
     "CylinderSet",
     "DiagnosticsConfig",
-    "InverseUnavailableError",
     "MeasureBuilder",
     "NoiseModel",
     "ParticleMeasure",
@@ -101,7 +97,6 @@ __all__ = [
     "hopf_residual",
     "hopf_rhs",
     "integrate",
-    "iterate_backward",
     "iterate_forward",
     "ks_critical",
     "ks_one_sample_threshold",
@@ -113,9 +108,7 @@ __all__ = [
     "shift_equivariance_check",
     "shift_path",
     "stationarity_suite",
-    "stationary_sampler",
     "traj_metric",
-    "truncate_path",
     "tsirelson_samples",
     "tsirelson_statistic",
     "update_map_from_name",

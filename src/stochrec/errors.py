@@ -1,11 +1,7 @@
 """Exception types shared across the package."""
 
-__all__ = ["CoverageError", "InverseUnavailableError"]
+__all__ = ["CoverageError"]
 
 
 class CoverageError(ValueError):
     """An index, window, or grid does not cover what the operation needs."""
-
-
-class InverseUnavailableError(ValueError):
-    """Backward iteration was requested for an update map without an inverse."""

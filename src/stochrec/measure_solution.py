@@ -13,6 +13,7 @@ is one realization of the conditional law of the trajectory given the
 noise.
 """
 
+import math
 import operator
 import os
 import threading
@@ -24,7 +25,7 @@ import numpy as np
 from .errors import CoverageError
 from .path_space import Window, _same_bits, shift_path
 from .random_measure import MeasureSampler, ParticleMeasure
-from .recurrence import NoiseModel, UpdateMap, _init_interval, advance
+from .recurrence import NoiseModel, UpdateMap, advance
 from .seeds import draw_u64, draw_unit, substream
 
 # fewest particle rows per part of a probe: smaller parts ran slower than one thread
@@ -104,7 +105,12 @@ class MeasureBuilder:
             raise ValueError(f"window must satisfy n_lo < n_hi, got {self.window}")
         if self.particle_count < 1:
             raise ValueError("particle_count must be positive")
-        _init_interval(self.init_bounds)
+        b_lo, b_hi = map(float, self.init_bounds)
+        if not (b_lo < b_hi and math.isfinite(b_hi - b_lo)):
+            raise ValueError(
+                f"init_bounds must be an increasing pair of finite width, got {self.init_bounds}"
+            )
+        object.__setattr__(self, "init_bounds", (b_lo, b_hi))
 
     @cached_property
     def initializers(self) -> np.ndarray:

@@ -10,7 +10,7 @@ slice by absolute index.
 
 import operator
 from copy import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +22,6 @@ __all__ = [
     "SampledFunction",
     "TrajMetric",
     "shift_path",
-    "truncate_path",
     "traj_metric",
 ]
 
@@ -94,7 +93,9 @@ class Window:
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """A real function known on a strictly increasing finite time grid."""
+    """A real function known on a strictly increasing finite time grid.
+
+    Times and values must be finite."""
 
     times: tuple[float, ...]
     values: tuple[float, ...]
@@ -106,6 +107,8 @@ class SampledFunction:
             raise ValueError("times and values must have equal length")
         if not self.times:
             raise ValueError("SampledFunction requires at least one sample")
+        if not np.isfinite(self.times + self.values).all():
+            raise ValueError("SampledFunction times and values must be finite")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ValueError("times must be strictly increasing")
 
@@ -127,16 +130,6 @@ def shift_path(p: Window, t: int) -> Window:
     shifted = copy(p)
     object.__setattr__(shifted, "offset", p.offset - operator.index(t))
     return shifted
-
-
-def truncate_path(p: Window, t: int) -> Window:
-    """Freeze the path after index ``t``: later coordinates repeat ``p(t)``.
-
-    ``t`` must lie inside the window.
-    """
-    values = p.values.copy()
-    values[..., t - p.offset + 1 :] = p.span(t, t)
-    return replace(p, values=values)
 
 
 def _damp(r: np.ndarray) -> np.ndarray:

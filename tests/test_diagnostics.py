@@ -23,7 +23,7 @@ from stochrec.errors import CoverageError
 from stochrec.measure_solution import MeasureBuilder, conditional_measure, consistency_check
 from stochrec.path_space import shift_path
 from stochrec.random_measure import CylinderSet, distributions_equal, integrate
-from stochrec.recurrence import NoiseModel, contraction_map, fractional_map, stationary_sampler
+from stochrec.recurrence import NoiseModel, contraction_map, fractional_map, iterate_forward
 from stochrec.seeds import draw_normal, draw_u64, draw_unit, substream
 
 
@@ -208,7 +208,8 @@ class TestTsirelsonStatistic:
         noise_stream = substream(seed, "tsirelson-noise")
         for r in range(cfg.sample_size):
             noise = NoiseModel(seed=int(draw_u64(noise_stream, r))).window(lo + 1, n - lo)
-            path = stationary_sampler(update_map, noise, int(draw_u64(init_stream, r)))
+            x0 = float(draw_unit(int(draw_u64(init_stream, r)), 0))
+            path = iterate_forward(x0, noise, update_map)
             assert samples[r] == path.coordinate(n)
 
 

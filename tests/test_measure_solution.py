@@ -8,6 +8,7 @@ import threading
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats as sps
 
 from stochrec import measure_solution
 from stochrec.errors import CoverageError
@@ -33,13 +34,14 @@ from stochrec.random_measure import (
     ParticleMeasure,
     cylinder_prob,
     integrate,
+    ks_one_sample_threshold,
 )
 from stochrec.recurrence import (
     NoiseModel,
     UpdateMap,
     contraction_map,
     fractional_map,
-    stationary_sampler,
+    iterate_forward,
 )
 from stochrec.seeds import draw_u64, draw_unit, substream
 
@@ -118,18 +120,15 @@ class TestTypes:
             (1.0, 0.0),
         ],
     )
-    @pytest.mark.parametrize(
-        "entry",
-        [
-            lambda b: make_builder(init_bounds=b),
-            lambda b: stationary_sampler(fractional_map(), make_noise(), 8, init_bounds=b),
-        ],
-        ids=["MeasureBuilder", "stationary_sampler"],
-    )
-    def test_bad_init_bounds_refused(self, entry, bounds):
+    def test_bad_init_bounds_refused(self, bounds):
         # (0.0, inf) used to build, with every initializer inf
         with pytest.raises(ValueError, match=re.escape(f"finite width, got {bounds}")):
-            entry(bounds)
+            make_builder(init_bounds=bounds)
+
+    def test_init_bounds_must_be_a_pair(self):
+        # a third entry used to build, then fail when the initializers were drawn
+        with pytest.raises(ValueError):
+            make_builder(init_bounds=(0.0, 1.0, 7.0))
 
     def test_builder_translate(self):
         b = make_builder(window=(0, 8))
@@ -224,14 +223,23 @@ class TestConditionalMeasure:
             assert np.array_equal(np.asarray(stepped), mu.column(k))
 
     def test_matches_per_particle_sampler_route(self):
-        # independent route: one stationary-sampler run per derived seed
+        # independent route: one scalar forward run per derived seed
         builder = make_builder(particles=16, window=(2, 7))
         noise = make_noise(window=(2, 7))
         mu = conditional_measure(builder, noise)
         for j in range(16):
             seed_j = int(draw_u64(builder.init_seed_stream, j))
-            path = stationary_sampler(builder.update_map, noise, seed_j)
+            path = iterate_forward(float(draw_unit(seed_j, 0)), noise, builder.update_map)
             assert np.array_equal(path.values, mu.values[j])
+
+    def test_marginal_uniform_for_fixed_noise_path(self):
+        # one frozen noise path, many initializer draws: coordinate 5 is
+        # uniform on [0, 1)
+        builder = make_builder(particles=2000, window=(0, 5))
+        noise = NoiseModel(seed=31).window(1, 5)
+        draws = conditional_measure(builder, noise).column(5)
+        d = sps.kstest(draws, "uniform").statistic
+        assert d < ks_one_sample_threshold(0.01, len(draws))
 
     def test_contraction_collapse(self):
         builder = make_builder(

@@ -11,7 +11,6 @@ from stochrec.path_space import (
     Window,
     shift_path,
     traj_metric,
-    truncate_path,
 )
 from stochrec.random_measure import ParticleMeasure
 
@@ -51,6 +50,16 @@ class TestWindows:
             SampledFunction(times=(0.0, 0.0), values=(1.0, 2.0))
         with pytest.raises(ValueError):
             SampledFunction(times=(0.0, 1.0), values=(1.0,))
+
+    @pytest.mark.parametrize("field", ["times", "values"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_sampled_function_non_finite_refused(self, field, bad):
+        # traj_metric read nan for a nan or inf value, and +-inf grid
+        # endpoints counted as spanning every band
+        sample = {"times": (0.0, 1.0), "values": (0.5, 0.5)}
+        sample[field] = (sample[field][0], bad)
+        with pytest.raises(ValueError, match="finite"):
+            SampledFunction(**sample)
 
 
 class TestWindowArray:
@@ -134,7 +143,6 @@ class TestSpan:
         assert len(w) == 4 and w.offset == 5 and w.last_index == 8
         assert np.array_equal(w.span(6, 7), rows[:, 1:3])
         assert np.array_equal(w.coordinate(8), rows[:, 3])
-        assert truncate_path(w, 6).values.tolist() == [[r[0], r[1], r[1], r[1]] for r in rows]
         assert np.array_equal(shift_path(w, 2).span(4, 4), w.span(6, 6))
 
     def test_writable_input_copied_column_major(self):
@@ -194,34 +202,6 @@ class TestShift:
         # int() would truncate 0.5 to 0 and return the window unshifted
         with pytest.raises(TypeError):
             shift_path(Window(offset=2, values=(1.0,)), t)
-
-
-class TestTruncate:
-    def test_last_index_noop(self):
-        p = Window(offset=0, values=(1.0, 2.0, 3.0))
-        assert truncate_path(p, 2) == p
-
-    def test_mid_window(self):
-        p = Window(offset=0, values=(1.0, 2.0, 3.0, 4.0))
-        assert truncate_path(p, 1).values.tolist() == [1.0, 2.0, 2.0, 2.0]
-
-    def test_first_index_constant(self):
-        p = Window(offset=5, values=(7.0, 8.0, 9.0))
-        assert truncate_path(p, 5).values.tolist() == [7.0, 7.0, 7.0]
-
-    @given(st.lists(st.floats(-100, 100), min_size=1, max_size=10), st.data())
-    def test_idempotent(self, values, data):
-        p = Window(offset=0, values=tuple(values))
-        t = data.draw(st.integers(0, len(values) - 1))
-        once = truncate_path(p, t)
-        assert truncate_path(once, t) == once
-
-    def test_out_of_window(self):
-        p = Window(offset=0, values=(1.0, 2.0))
-        with pytest.raises(CoverageError):
-            truncate_path(p, 2)
-        with pytest.raises(CoverageError):
-            truncate_path(p, -1)
 
 
 class TestTrajMetric:

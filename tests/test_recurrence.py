@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy import stats as sps
 
-from stochrec.errors import CoverageError, InverseUnavailableError
 from stochrec.path_space import Window
 from stochrec.random_measure import ks_one_sample_threshold
 from stochrec.recurrence import (
@@ -13,9 +12,7 @@ from stochrec.recurrence import (
     advance,
     contraction_map,
     fractional_map,
-    iterate_backward,
     iterate_forward,
-    stationary_sampler,
     update_map_from_name,
 )
 from stochrec.seeds import counter_range, draw_normal, draw_u64, draw_unit, substream
@@ -31,12 +28,7 @@ class TestFractionalMap:
 
     def test_negative_wraps_into_unit_interval(self):
         fm = fractional_map()
-        assert fm.inverse_apply(0.1, 0.5) == pytest.approx(0.6, abs=1e-12)
-
-    @given(unit, unit)
-    def test_inverse_round_trip(self, x, y):
-        fm = fractional_map()
-        assert fm.apply(fm.inverse_apply(x, y), y) == pytest.approx(x, abs=1e-12)
+        assert fm.apply(0.1, -0.5) == pytest.approx(0.6, abs=1e-12)
 
     @given(st.floats(-100, 100, allow_nan=False), unit)
     def test_range(self, x, y):
@@ -47,6 +39,14 @@ class TestFractionalMap:
         fm = fractional_map()
         out = fm.apply(np.array([0.25, 0.75]), 0.5)
         assert np.allclose(out, [0.75, 0.25])
+
+    def test_rotation_by_fixed_offset_stays_uniform(self):
+        # frac(eta + c) for uniform eta is uniform for any fixed c
+        etas = draw_unit(123, np.arange(4000))
+        for c in (0.1, 0.5, 0.9):
+            shifted = (etas + c) % 1.0
+            d = sps.kstest(shifted, "uniform").statistic
+            assert d < ks_one_sample_threshold(0.01, len(etas))
 
 
 def float_bits(value) -> int:
@@ -74,11 +74,10 @@ class TestFractionalScalarBranch:
         else:
             assert float_bits(got) == float_bits(want)
 
-    @pytest.mark.parametrize("direction", ["apply", "inverse_apply"])
     @pytest.mark.parametrize("y", [0.0, -0.0, 0.25, 1.0])
     @pytest.mark.parametrize("x", EDGE_STATES)
-    def test_edge_states(self, x, y, direction):
-        step = getattr(fractional_map(), direction)
+    def test_edge_states(self, x, y):
+        step = fractional_map().apply
         self.check(step, x, y)
         self.check(step, np.float64(x), y)
 
@@ -89,12 +88,11 @@ class TestFractionalScalarBranch:
         fm = fractional_map()
         x = np.float64(x) if numpy_scalar else x
         self.check(fm.apply, x, y)
-        self.check(fm.inverse_apply, x, y)
 
     def test_signed_zero_maps_to_positive_zero(self):
         fm = fractional_map()
         assert float_bits(fm.apply(-0.0, -0.0)) == 0
-        assert float_bits(fm.inverse_apply(-1e-17, 0.0)) == 0
+        assert float_bits(fm.apply(-1e-17, 0.0)) == 0
         assert type(fm.apply(0.25, 0.5)) is float
 
 
@@ -108,12 +106,6 @@ class TestContractionMap:
     def test_memoryless_at_zero(self):
         cm = contraction_map(0.0)
         assert cm.apply(123.0, 0.25) == 0.25
-        assert cm.inverse_apply is None
-
-    def test_inverse_round_trip(self):
-        cm = contraction_map(0.5)
-        for x, y in [(0.3, 0.7), (-2.0, 1.1), (5.0, -0.4)]:
-            assert cm.apply(cm.inverse_apply(x, y), y) == pytest.approx(x, abs=1e-12)
 
     @pytest.mark.parametrize("a", [1.0, -1.0, 2.5])
     def test_domain(self, a):
@@ -156,27 +148,6 @@ class TestIteration:
         path = iterate_forward(0.9, noise, fm)
         assert path.values.tolist() == [0.9, float(fm.apply(0.9, 0.3))]
 
-    def test_backward_example(self):
-        noise = Window(offset=1, values=(0.5,))
-        path = iterate_backward(0.75, noise, fractional_map())
-        assert path.offset == 0
-        assert path.values == pytest.approx((0.25, 0.75), abs=1e-12)
-
-    def test_backward_requires_inverse(self):
-        noise = Window(offset=1, values=(0.5,))
-        with pytest.raises(InverseUnavailableError):
-            iterate_backward(0.75, noise, contraction_map(0.0))
-
-    @pytest.mark.parametrize("make_map", [fractional_map, lambda: contraction_map(0.5)])
-    def test_backward_forward_round_trip(self, make_map):
-        update_map = make_map()
-        noise = NoiseModel(seed=17).window(1, 50)
-        end_value = 0.6180339887
-        back = iterate_backward(end_value, noise, update_map)
-        forward = iterate_forward(back.values[0], noise, update_map)
-        assert forward.offset == back.offset
-        assert max(abs(a - b) for a, b in zip(forward.values, back.values)) <= 50 * 1e-12
-
 
 MAPS = {
     "fractional": fractional_map(),
@@ -197,43 +168,26 @@ def per_step_reference(update_map, x0, noise):
     return trajectory
 
 
-class TestFillPath:
-    """``iterate_backward`` and ``stationary_sampler`` match an array-branch loop."""
-
-    @staticmethod
-    def array_steps(step, x, noise_values):
-        # one 1-element array per step, so every value takes the array branch
-        states = []
-        for xi in noise_values:
-            x = step(np.array([x]), xi)[0]
-            states.append(x)
-        return states
-
+class TestIterateForward:
     @given(
         seed=st.integers(0, 2**64 - 1),
+        offset=st.integers(-(2**63), 2**63),
         length=st.integers(1, 40),
-        make_map=st.sampled_from([fractional_map, lambda: contraction_map(0.5)]),
+        map_name=st.sampled_from(sorted(MAPS)),
     )
-    def test_backward_bit_for_bit(self, seed, length, make_map):
-        update_map = make_map()
-        noise = NoiseModel(seed=seed).window(-3, length)
-        x_end = float(draw_unit(substream(seed, "end"), 0))
-        path = iterate_backward(x_end, noise, update_map)
-        expected = self.array_steps(update_map.inverse_apply, x_end, noise.values[::-1])
-        expected = np.array([*expected[::-1], x_end])
-        assert path.values.view(np.int64).tolist() == expected.view(np.int64).tolist()
-
-    @given(seed=st.integers(0, 2**64 - 1), length=st.integers(1, 40), data=st.data())
-    def test_mid_window_sampler_bit_for_bit(self, seed, length, data):
-        update_map = fractional_map()
-        noise = NoiseModel(seed=seed).window(1, length)
-        cut = data.draw(st.integers(0, length))
-        path = stationary_sampler(update_map, noise, init_seed=seed, init_index=cut)
-        eta = float(draw_unit(seed, 0))
-        left = self.array_steps(update_map.inverse_apply, eta, noise.values[:cut][::-1])
-        right = self.array_steps(update_map.apply, eta, noise.values[cut:])
-        expected = np.array([*left[::-1], eta, *right])
-        assert path.values.view(np.int64).tolist() == expected.view(np.int64).tolist()
+    def test_matches_array_branch_loop_bit_for_bit(self, seed, offset, length, map_name):
+        # iterate_forward steps Python floats through the scalar branch; a
+        # 1-element array per step takes the array branch, bit for bit alike
+        update_map = MAPS[map_name]
+        noise = NoiseModel(seed=seed).window(offset, length)
+        x = float(draw_unit(substream(seed, "start"), 0))
+        expected = [x]
+        for xi in noise.values:
+            x = update_map.apply(np.array([x]), xi)[0]
+            expected.append(x)
+        path = iterate_forward(expected[0], noise, update_map)
+        assert path.offset == offset - 1
+        assert path.values.view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
 
 
 class TestAdvance:
@@ -339,71 +293,3 @@ class TestNoiseModel:
         window = NoiseModel(seed=1).window(np.int64(2), np.uint8(3))
         assert window == NoiseModel(seed=1).window(2, 3)
         assert type(window.offset) is int
-
-
-class TestStationarySampler:
-    def test_initializer_coordinate_exact(self):
-        noise = NoiseModel(seed=21).window(1, 6)
-        path = stationary_sampler(fractional_map(), noise, init_seed=77)
-        assert path.values[0] == float(draw_unit(77, 0))
-
-    def test_fractional_stays_in_unit_interval(self):
-        for seed in range(20):
-            noise = NoiseModel(seed=seed).window(1, 30)
-            path = stationary_sampler(fractional_map(), noise, init_seed=seed + 100)
-            assert all(0.0 <= v < 1.0 for v in path.values)
-
-    def test_mid_window_initializer_uses_backward_branch(self):
-        noise = NoiseModel(seed=4).window(1, 10)
-        path = stationary_sampler(fractional_map(), noise, init_seed=8, init_index=5)
-        assert path.coordinate(5) == float(draw_unit(8, 0))
-        # the whole window still satisfies the forward recurrence
-        fm = fractional_map()
-        for k in range(1, 11):
-            expected = float(fm.apply(path.coordinate(k - 1), noise.coordinate(k)))
-            assert path.coordinate(k) == pytest.approx(expected, abs=1e-12)
-
-    def test_mid_window_initializer_without_inverse(self):
-        noise = NoiseModel(seed=4).window(1, 10)
-        with pytest.raises(InverseUnavailableError):
-            stationary_sampler(contraction_map(0.0), noise, init_seed=8, init_index=5)
-
-    @pytest.mark.parametrize("init_index", [5.7, 5.0])
-    def test_non_integer_initializer_index_refused(self, init_index):
-        # int() used to plant the initializer of init_index=5.7 at index 5
-        noise = NoiseModel(seed=4).window(1, 10)
-        with pytest.raises(TypeError):
-            stationary_sampler(fractional_map(), noise, init_seed=8, init_index=init_index)
-
-    def test_initializer_out_of_window(self):
-        noise = NoiseModel(seed=4).window(1, 3)
-        with pytest.raises(CoverageError):
-            stationary_sampler(fractional_map(), noise, init_seed=8, init_index=9)
-
-    def test_init_bounds(self):
-        noise = NoiseModel(seed=4).window(1, 3)
-        path = stationary_sampler(
-            contraction_map(0.5), noise, init_seed=8, init_bounds=(0.0, 0.5)
-        )
-        assert 0.0 <= path.values[0] < 0.5
-
-    def test_rotation_by_fixed_offset_stays_uniform(self):
-        # frac(eta + c) for uniform eta is uniform for any fixed c
-        etas = draw_unit(123, np.arange(4000))
-        for c in (0.1, 0.5, 0.9):
-            shifted = (etas + c) % 1.0
-            d = sps.kstest(shifted, "uniform").statistic
-            assert d < ks_one_sample_threshold(0.01, len(etas))
-
-    def test_marginal_uniform_for_fixed_noise_path(self):
-        # one frozen noise path, many initializer draws: coordinate 5 is
-        # uniform on [0, 1)
-        noise = NoiseModel(seed=31).window(1, 5)
-        draws = np.asarray(
-            [
-                stationary_sampler(fractional_map(), noise, init_seed=s).coordinate(5)
-                for s in np.arange(2000) * 7919 + 13
-            ]
-        )
-        d = sps.kstest(draws, "uniform").statistic
-        assert d < ks_one_sample_threshold(0.01, len(draws))
