@@ -105,7 +105,7 @@ def parse(path: Path) -> ast.Module:
 CALLERLESS_EXPORTS = {"mix64"}
 
 
-def test_every_export_has_a_caller():
+def callers() -> set[str]:
     # a caller is a read in a src module other than the package's
     # __init__, in the acceptance suite, in the README's Python session, or
     # a name or string in the benchmark harness (which wraps by name)
@@ -115,10 +115,13 @@ def test_every_export_has_a_caller():
     readers = [tree for name, tree in TREES.items() if name != "__init__.py"]
     readers += [parse(ROOT / "tests" / "test_acceptance.py"), ast.parse(session)]
     bench = [parse(path) for path in sorted((ROOT / "perfbench").glob("*.py"))]
-    read = set().union(*map(loaded, readers + bench), *map(string_constants, bench))
-    exports = set().union(*map(exported, TREES.values()))
-    callerless = exports - read - CALLERLESS_EXPORTS
-    assert not callerless, f"{sorted(callerless)} are exported and nothing calls them"
+    return set().union(*map(loaded, readers + bench), *map(string_constants, bench))
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_every_export_has_a_caller(name):
+    callerless = exported(TREES[name]) - callers() - CALLERLESS_EXPORTS
+    assert not callerless, f"{name} exports {sorted(callerless)} and nothing calls them"
 
 
 def test_scan_sees_every_module():

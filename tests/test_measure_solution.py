@@ -4,6 +4,7 @@ import math
 import os
 import re
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -120,15 +121,34 @@ class TestTypes:
             (1.0, 0.0),
         ],
     )
-    def test_bad_init_bounds_refused(self, bounds):
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda b: make_builder(init_bounds=b),
+            lambda b: replace(make_builder(), init_bounds=b),
+        ],
+        ids=["MeasureBuilder", "replace"],
+    )
+    def test_bad_init_bounds_refused(self, entry, bounds):
         # (0.0, inf) used to build, with every initializer inf
         with pytest.raises(ValueError, match=re.escape(f"finite width, got {bounds}")):
-            make_builder(init_bounds=bounds)
+            entry(bounds)
 
-    def test_init_bounds_must_be_a_pair(self):
+    @pytest.mark.parametrize("bounds", [(), (0.0,), (0.0, 1.0, 7.0)])
+    def test_init_bounds_must_be_a_pair(self, bounds):
         # a third entry used to build, then fail when the initializers were drawn
         with pytest.raises(ValueError):
-            make_builder(init_bounds=(0.0, 1.0, 7.0))
+            make_builder(init_bounds=bounds)
+
+    @pytest.mark.parametrize(
+        "bounds", [(0, 1), [0.0, 1.0], (np.float32(0.5), np.int64(2))], ids=repr
+    )
+    def test_builder_stores_float_init_bounds(self, bounds):
+        # a list used to be kept as given, so the frozen builder did not hash
+        b = make_builder(init_bounds=bounds)
+        assert b.init_bounds == tuple(float(v) for v in bounds)
+        assert type(b.init_bounds) is tuple and all(type(v) is float for v in b.init_bounds)
+        hash(b)
 
     def test_builder_translate(self):
         b = make_builder(window=(0, 8))
@@ -261,12 +281,13 @@ class TestConditionalMeasure:
         with pytest.raises(CoverageError):
             conditional_measure(make_builder(window=(0, 10)), make_noise(window=(0, 5)))
 
-    def test_init_bounds_respected(self):
+    @pytest.mark.parametrize("bounds", [(0.0, 0.5), (-2.0, 3.0)])
+    def test_init_bounds_respected(self, bounds):
         builder = make_builder(
-            particles=200, update_map=contraction_map(0.5), init_bounds=(0.0, 0.5)
+            particles=200, update_map=contraction_map(0.5), init_bounds=bounds
         )
         mu = conditional_measure(builder, make_noise())
-        assert mu.column(0).max() < 0.5
+        assert bounds[0] <= mu.column(0).min() and mu.column(0).max() < bounds[1]
 
 
 class TestHopfFunctionals:

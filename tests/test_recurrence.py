@@ -74,7 +74,9 @@ class TestFractionalScalarBranch:
         else:
             assert float_bits(got) == float_bits(want)
 
-    @pytest.mark.parametrize("y", [0.0, -0.0, 0.25, 1.0])
+    # negative noise runs the subtraction x - |y|; 5e-324 is the least
+    # subnormal, so x + y rounds back to x for every normal x
+    @pytest.mark.parametrize("y", [0.0, -0.0, 0.25, 1.0, -0.25, -1.0, 0.5, 5e-324])
     @pytest.mark.parametrize("x", EDGE_STATES)
     def test_edge_states(self, x, y):
         step = fractional_map().apply
