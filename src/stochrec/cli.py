@@ -118,12 +118,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_hopf_check(args) -> int:
     update_map = update_map_from_name(args.map_name)
-    if args.particles < 1:
-        raise ValueError("particles must be at least 1")
-    if args.window < 3:
-        raise ValueError("window must be at least 3")
     started = _utc_now()
     window = (0, args.window - 1)
+    # probes first: a short window is refused before any noise or particle is drawn
+    specs = char_spec_grid(window) + random_char_specs(
+        window, args.specs, substream(args.seed, "hopf-specs")
+    )
     builder = MeasureBuilder(
         update_map=update_map,
         particle_count=args.particles,
@@ -134,9 +134,6 @@ def cmd_hopf_check(args) -> int:
     mu = conditional_measure(builder, noise)
     if args.perturb:
         mu = perturb_last_coordinate(mu, substream(args.seed, "hopf-perturb"))
-    specs = char_spec_grid(window) + random_char_specs(
-        window, args.specs, substream(args.seed, "hopf-specs")
-    )
     reports = residual_reports(mu, noise, specs, update_map)
     max_residual = max(r["residual"] for r in reports)
     passed = max_residual <= HOPF_TOLERANCE
@@ -270,20 +267,28 @@ def _diagnose_equivariance(args) -> list[StatReport]:
 
 
 _SUITES = {
-    "tsirelson": _diagnose_tsirelson,
-    "stationarity": _diagnose_stationarity,
-    "rotation": _diagnose_rotation,
-    "conditional-law": _diagnose_conditional_law,
-    "consistency": _diagnose_consistency,
-    "equivariance": _diagnose_equivariance,
+    # suite: (runner, n, particles, window span); the defaults fill what the command omits
+    "tsirelson": (_diagnose_tsirelson, 100_000, 10_000, 8),
+    "stationarity": (_diagnose_stationarity, 1_000, 200, 12),
+    "rotation": (_diagnose_rotation, 100_000, 1, 8),
+    "conditional-law": (_diagnose_conditional_law, 300, 10_000, 9),
+    "consistency": (_diagnose_consistency, 100, 200, 12),
+    "equivariance": (_diagnose_equivariance, 100, 500, 12),
 }
 
 
 def cmd_diagnose(args) -> int:
     if args.raw_out and args.suite != "tsirelson":
         raise ValueError("--raw-out is only available for the tsirelson suite")
+    runner, n, particles, span = _SUITES[args.suite]
+    if args.n is None:
+        args.n = n
+    if args.particles is None:
+        args.particles = particles
+    if args.window_hi is None:
+        args.window_hi = args.window_lo + span
     started = _utc_now()
-    reports = _SUITES[args.suite](args)
+    reports = runner(args)
     passed = all(r.passed for r in reports)
     # --threads changes no result, so it is not an experiment parameter
     params = {
@@ -341,11 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_diag = sub.add_parser("diagnose", help="run a named diagnostic suite")
     p_diag.add_argument("suite", choices=sorted(_SUITES))
-    p_diag.add_argument("--n", type=int, default=None, help="sample size / replicas")
-    p_diag.add_argument("--particles", type=int, default=None)
+    p_diag.add_argument("--n", type=int, default=None, help="sample size (default: per suite)")
+    p_diag.add_argument("--particles", type=int, default=None, help="default: per suite")
     p_diag.add_argument("--alpha", type=float, default=0.01)
     p_diag.add_argument("--window-lo", type=int, default=0)
-    p_diag.add_argument("--window-hi", type=int, default=None)
+    p_diag.add_argument(
+        "--window-hi", type=int, default=None, help="default: --window-lo plus the suite's span"
+    )
     p_diag.add_argument("--index", type=int, default=5, help="coordinate index to probe")
     p_diag.add_argument("--map", default="fractional")
     p_diag.add_argument("--t", type=float, default=math.pi / 3, help="rotation angle")
@@ -361,36 +368,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_SUITE_DEFAULTS = {
-    # suite: (n, particles, window_hi)
-    "tsirelson": (100_000, 10_000, 8),
-    "stationarity": (1_000, 200, 12),
-    "rotation": (100_000, 1, 8),
-    "conditional-law": (300, 10_000, 9),
-    "consistency": (100, 200, 12),
-    "equivariance": (100, 500, 12),
-}
-
-
-def _apply_suite_defaults(args) -> None:
-    if getattr(args, "suite", None) is None:
-        return
-    n, particles, window_hi = _SUITE_DEFAULTS[args.suite]
-    if args.n is None:
-        args.n = n
-    if args.particles is None:
-        args.particles = particles
-    if args.window_hi is None:
-        args.window_hi = args.window_lo + window_hi
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    _apply_suite_defaults(args)
     try:
         if args.threads < 1:
             raise ValueError("threads must be at least 1")

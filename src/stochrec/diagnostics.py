@@ -188,8 +188,8 @@ def conditional_char_statistic(
     """Largest conditional characteristic value over several frozen noises.
 
     For each frozen noise path, builds the conditional particle measure of
-    ``particle_count`` initializers on the whole window with
-    :func:`~stochrec.measure_solution.conditional_measure`, averages
+    ``particle_count`` initializers from the window's left edge up to ``n``
+    with :func:`~stochrec.measure_solution.conditional_measure`, averages
     ``exp(2*pi*i*x_n)`` over its column ``n`` (the measure's integral of that
     function) and takes the maximum modulus over paths.  For the fractional
     map the conditional mean is exactly zero in population; for a contracting
@@ -203,16 +203,29 @@ def conditional_char_statistic(
     init_root = substream(config.seed, "cond-char-init")
     noise_root = substream(config.seed, "cond-char-noise")
 
+    # column n reads no noise past n; a builder refuses lo == hi, and n == lo is valid
+    window = (config.window[0], max(n, config.window[0] + 1))
+
     def path_modulus(p: int) -> float:
-        # the whole window, since a builder refuses lo == hi and n == lo is valid
         builder = MeasureBuilder(
-            update_map, config.particle_count, config.window, int(draw_u64(init_root, p))
+            update_map, config.particle_count, window, int(draw_u64(init_root, p))
         )
-        noise = NoiseModel(seed=int(draw_u64(noise_root, p))).driving(config.window)
+        noise = NoiseModel(seed=int(draw_u64(noise_root, p))).driving(window)
         return _circle_modulus(conditional_measure(builder, noise).column(n))
 
     statistic = max(path_modulus(p) for p in range(noise_paths))
     return _five_sigma("conditional_char", statistic, config.particle_count, config.seed)
+
+
+# (start - first, intervals) of each rectangle of the default family, in report order
+_FAMILY = (
+    (0, ((0.0, 0.5),)),
+    (0, ((0.25, 0.75),)),
+    (1, ((0.5, 1.0),)),
+    (0, ((0.0, 0.5), (0.0, 0.5))),
+    (2, ((0.0, 1.0 / 3.0),)),
+    (0, ((0.0, 0.75), (0.25, 1.0), (0.0, 0.5))),
+)
 
 
 def default_cylinder_family(
@@ -237,19 +250,8 @@ def default_cylinder_family(
         raise CoverageError(
             f"window {window} too short for shifts from {min_shift} to {max_shift}"
         )
-    family = [
-        CylinderSet(start=first, intervals=((0.0, 0.5),)),
-        CylinderSet(start=first, intervals=((0.25, 0.75),)),
-    ]
-    if first + 1 <= last:
-        family.append(CylinderSet(start=first + 1, intervals=((0.5, 1.0),)))
-        family.append(CylinderSet(start=first, intervals=((0.0, 0.5), (0.0, 0.5))))
-    if first + 2 <= last:
-        family.append(CylinderSet(start=first + 2, intervals=((0.0, 1.0 / 3.0),)))
-        family.append(
-            CylinderSet(start=first, intervals=((0.0, 0.75), (0.25, 1.0), (0.0, 0.5)))
-        )
-    return family
+    family = (CylinderSet(start=first + k, intervals=iv) for k, iv in _FAMILY)
+    return [d for d in family if d.last_index <= last]
 
 
 def _shift_report(sampler_a, sampler_b, t, deltas, config, seed, prefix) -> StatReport:

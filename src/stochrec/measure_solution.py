@@ -39,7 +39,6 @@ __all__ = [
     "hopf_lhs",
     "hopf_rhs",
     "hopf_residual",
-    "residual_report",
     "residual_reports",
     "char_spec_grid",
     "random_char_specs",
@@ -239,21 +238,14 @@ def _probe_integral(columns, freqs) -> complex:
 def hopf_residual(
     mu: ParticleMeasure, noise: Window, spec: CharSpec, update_map: UpdateMap
 ) -> float:
-    """``|lhs - rhs|`` of the Hopf identity, as :func:`residual_report` computes it."""
-    return residual_report(mu, noise, spec, update_map)["residual"]
-
-
-def residual_report(
-    mu: ParticleMeasure, noise: Window, spec: CharSpec, update_map: UpdateMap
-) -> dict:
-    """Both sides of the identity and their distance, as a JSON-ready dict."""
-    return residual_reports(mu, noise, [spec], update_map)[0]
+    """``|lhs - rhs|`` of the Hopf identity, as :func:`residual_reports` computes it."""
+    return residual_reports(mu, noise, [spec], update_map)[0]["residual"]
 
 
 def residual_reports(
     mu: ParticleMeasure, noise: Window, specs: list[CharSpec], update_map: UpdateMap
 ) -> list[dict]:
-    """:func:`residual_report` for each probe, checking each last column once.
+    """Both sides of the identity and their distance per probe, checking each last column once.
 
     Where the map reproduces the stored ``u_{n+m+1}`` bit for bit, as on
     :func:`conditional_measure`, both sides fold the same terms in the same

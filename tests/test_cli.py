@@ -9,6 +9,7 @@ import pytest
 
 from stochrec import cli, diagnostics, measure_solution
 from stochrec.cli import _write_json, main
+from stochrec.recurrence import NoiseModel
 
 
 def read_json(path):
@@ -124,6 +125,30 @@ class TestHopfCheck:
     def test_window_too_small_exit_2(self, tmp_path):
         args = ["hopf-check", "fractional", "--window", "2", "--out", str(tmp_path / "x.json")]
         assert main(args) == 2
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the sizes were checked")
+
+        monkeypatch.setattr(cli, "conditional_measure", refuse)
+        monkeypatch.setattr(NoiseModel, "window", refuse)
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--window", "2"], "too short for any probe"),
+            (["--window", "1"], "too short for any probe"),
+            (["--window", "0"], "too short for any probe"),
+            (["--window=-3"], "too short for any probe"),
+            (["--particles", "0"], "particle_count must be positive"),
+        ],
+    )
+    def test_bad_size_refused_before_any_work(self, tmp_path, capsys, no_work, extra, message):
+        out = tmp_path / "hopf.json"
+        assert main(["hopf-check", "fractional", *extra, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestHopfCheckThreads:

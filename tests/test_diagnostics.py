@@ -276,6 +276,24 @@ class TestConditionalCharStatistic:
         want = reference_char_statistic(cfg, n, update_map, noise_paths=3)
         assert int_bits([report.statistic]) == int_bits([want])
 
+    @pytest.mark.parametrize("n", [-2, -1, 3, 4])
+    def test_window_edges_and_ensemble_stops_at_n(self, n, monkeypatch):
+        # each ensemble runs from the left edge to n only (one step past it at n == lo),
+        # and still gives the chain route's statistic bit for bit
+        windows = []
+
+        def recorded(builder, noise):
+            windows.append((builder.window, noise.offset, len(noise)))
+            return conditional_measure(builder, noise)
+
+        monkeypatch.setattr(diagnostics, "conditional_measure", recorded)
+        cfg = config(particle_count=40, seed=9, window=(-2, 4))
+        report = conditional_char_statistic(cfg, n, noise_paths=3)
+        want = reference_char_statistic(cfg, n, fractional_map(), noise_paths=3)
+        assert int_bits([report.statistic]) == int_bits([want])
+        hi = max(n, -1)
+        assert windows == [((-2, hi), -1, hi + 2)] * 3
+
 
 class TestStationaritySuite:
     def make_builder(self, **kw):
@@ -355,6 +373,39 @@ class TestDefaultCylinderFamily:
             default_cylinder_family((0, 2), max_shift=5)
         with pytest.raises(CoverageError):
             default_cylinder_family((0, 3), max_shift=0, min_shift=-3)
+
+    # the order feeds the projection coefficients, so it is pinned as well as the rectangles
+    @pytest.mark.parametrize(
+        "window, max_shift, min_shift, expected",
+        [
+            ((0, 3), 2, 0, [(1, ((0.0, 0.5),)), (1, ((0.25, 0.75),))]),
+            (
+                (0, 4), 2, 0,
+                [(1, ((0.0, 0.5),)), (1, ((0.25, 0.75),)), (2, ((0.5, 1.0),)),
+                 (1, ((0.0, 0.5), (0.0, 0.5)))],
+            ),
+            (
+                (0, 12), 5, 0,
+                [(1, ((0.0, 0.5),)), (1, ((0.25, 0.75),)), (2, ((0.5, 1.0),)),
+                 (1, ((0.0, 0.5), (0.0, 0.5))), (3, ((0.0, 1.0 / 3.0),)),
+                 (1, ((0.0, 0.75), (0.25, 1.0), (0.0, 0.5)))],
+            ),
+            (
+                (-1, 5), 1, -2,
+                [(2, ((0.0, 0.5),)), (2, ((0.25, 0.75),)), (3, ((0.5, 1.0),)),
+                 (2, ((0.0, 0.5), (0.0, 0.5))), (4, ((0.0, 1.0 / 3.0),)),
+                 (2, ((0.0, 0.75), (0.25, 1.0), (0.0, 0.5)))],
+            ),
+            (
+                (0, 5), 1, -2,
+                [(3, ((0.0, 0.5),)), (3, ((0.25, 0.75),)), (4, ((0.5, 1.0),)),
+                 (3, ((0.0, 0.5), (0.0, 0.5)))],
+            ),
+        ],
+    )
+    def test_family_pinned(self, window, max_shift, min_shift, expected):
+        family = default_cylinder_family(window, max_shift, min_shift)
+        assert [(d.start, d.intervals) for d in family] == expected
 
     def test_negative_shift_left_margin(self):
         # a shift by -2 moves the family right by 2, past the pinned

@@ -25,7 +25,6 @@ from stochrec.measure_solution import (
     hopf_rhs,
     perturb_last_coordinate,
     random_char_specs,
-    residual_report,
     residual_reports,
     shift_equivariance_check,
 )
@@ -405,7 +404,7 @@ def read_only(matrix):
 
 
 def report_bits(mu, noise, spec, update_map):
-    report = residual_report(mu, noise, spec, update_map)
+    report = residual_reports(mu, noise, [spec], update_map)[0]
     return bits(*[report[k] for k in ("lhs_re", "lhs_im", "rhs_re", "rhs_im", "residual")])
 
 
@@ -588,7 +587,7 @@ class TestHopfShortcut:
         mu, noise, specs = self.construct(update_map)
         for spec in specs:
             del integrals[:]
-            residual_report(mu, noise, spec, update_map)
+            residual_reports(mu, noise, [spec], update_map)[0]
             hopf_residual(mu, noise, spec, update_map)
             assert integrals == [mu.particle_count] * 2
 
@@ -599,10 +598,12 @@ class TestHopfShortcut:
         reads_last = [spec.n + spec.m + 1 == self.WINDOW[1] for spec in specs]
         assert any(reads_last) and not all(reads_last)
         for spec, last in zip(specs, reads_last):
-            for entry in (residual_report, hopf_residual):
-                del integrals[:]
-                entry(mu, noise, spec, update_map)
-                assert len(integrals) == (2 if last else 1)
+            del integrals[:]
+            residual_reports(mu, noise, [spec], update_map)
+            assert len(integrals) == (2 if last else 1)
+            del integrals[:]
+            hopf_residual(mu, noise, spec, update_map)
+            assert len(integrals) == (2 if last else 1)
 
     @pytest.mark.parametrize("perturbed", [False, True])
     @pytest.mark.parametrize("update_map", [fractional_map(), contraction_map(0.5)])
@@ -614,7 +615,7 @@ class TestHopfShortcut:
         reports = residual_reports(mu, noise, specs, update_map)
         assert len(reports) == len(specs)
         for spec, batched in zip(specs, reports):
-            report = residual_report(mu, noise, spec, update_map)
+            report = residual_reports(mu, noise, [spec], update_map)[0]
             assert bits(hopf_residual(mu, noise, spec, update_map)) == bits(report["residual"])
             assert batched["spec"] == report["spec"] == spec.as_dict()
             assert bits(*[batched[k] for k in keys]) == bits(*[report[k] for k in keys])
@@ -641,7 +642,7 @@ class TestHopfShortcut:
 
         counting = UpdateMap("counting", apply)
         for spec in specs:
-            residual_report(mu, noise, spec, counting)
+            residual_reports(mu, noise, [spec], counting)[0]
         per_probe = len(applied)
         del applied[:]
         residual_reports(mu, noise, specs, counting)
