@@ -356,7 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--index", type=int, default=5, help="coordinate index to probe")
     p_diag.add_argument("--map", default="fractional")
     p_diag.add_argument("--t", type=float, default=math.pi / 3, help="rotation angle")
-    p_diag.add_argument("--shifts", type=_shift_list, default=[1, 2, 5])
+    p_diag.add_argument(
+        "--shifts", type=_shift_list, default=[1, 2, 5],
+        help="comma-separated shifts; a negative first shift needs the = form: --shifts=-2,1",
+    )
     p_diag.add_argument("--rho", type=float, default=0.8)
     p_diag.add_argument("--a", type=float, default=0.5)
     p_diag.add_argument("--pairs", type=int, default=100)

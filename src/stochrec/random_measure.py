@@ -56,9 +56,8 @@ class ParticleMeasure(Window):
     def particle_count(self) -> int:
         return self.values.shape[0]
 
-    def column(self, index: int) -> np.ndarray:
-        """Particle values at absolute index ``index``."""
-        return self.span(index, index)[:, 0]
+    #: Particle values at absolute index ``index``, as a view.
+    column = Window.coordinate
 
 
 @dataclass(frozen=True)
@@ -190,8 +189,7 @@ def distributions_equal(
         raise ValueError("replicas must be at least 100")
     if not deltas:
         raise ValueError("deltas must be nonempty")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    threshold = ks_two_sample_threshold(alpha, replicas, replicas)
 
     vec_a = np.asarray([_delta_vector(sampler_a(r), deltas) for r in range(replicas)])
     vec_b = np.asarray([_delta_vector(sampler_b(r), deltas) for r in range(replicas)])
@@ -207,7 +205,7 @@ def distributions_equal(
     return StatReport(
         test_name=name,
         statistic=statistic,
-        threshold=ks_two_sample_threshold(alpha, replicas, replicas),
+        threshold=threshold,
         sample_size=replicas,
         seed=seed,
     )

@@ -489,11 +489,11 @@ class TestBadInput:
         out = tmp_path / "st.json"
         code = main(
             ["diagnose", "stationarity", "--n", "150", "--particles", "80",
-             "--shifts=-2", "--seed", "5", "--out", str(out)]
+             "--shifts=-2,1", "--seed", "5", "--out", str(out)]
         )
         assert code in (0, 1)
         names = [r["test_name"] for r in read_json(out)["reports"]]
-        assert names == ["stationarity:shift=-2"]
+        assert names == ["stationarity:shift=-2", "stationarity:shift=1"]
 
     def test_negative_spec_count_exit_2(self, tmp_path, capsys):
         out = tmp_path / "hopf.json"

@@ -39,12 +39,19 @@ def loaded(tree: ast.Module) -> set[str]:
 
 
 def imported(tree: ast.Module) -> set[str]:
-    """Names bound by the module's import statements."""
+    """Names bound by the module's import statements.
+
+    ``from .m import *`` counts as an import of ``m``: the package's star
+    re-export is used only when it reads ``m.__all__``.
+    """
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
-                names.add(alias.asname or alias.name.split(".")[0])
+                if alias.name == "*":
+                    names.add(node.module.split(".")[0])
+                else:
+                    names.add(alias.asname or alias.name.split(".")[0])
     return names
 
 
@@ -86,6 +93,22 @@ def test_every_export_resolves(name):
     module = importlib.import_module(name)
     missing = [entry for entry in getattr(module, "__all__", ()) if not hasattr(module, entry)]
     assert not missing, f"{name}.__all__ lists {missing}, which it does not define"
+
+
+# seeds, _ks and cli stay out of the package namespace
+REEXPORTED = ["diagnostics", "errors", "measure_solution", "path_space", "random_measure", "recurrence"]
+
+
+def test_package_reexports_every_module_export():
+    # a public name is declared once, in its module's __all__; the package adds only __version__
+    package = importlib.import_module("stochrec")
+    modules = [importlib.import_module(f"stochrec.{name}") for name in REEXPORTED]
+    expected = ["__version__"] + [entry for module in modules for entry in module.__all__]
+    assert package.__all__ == expected
+    assert len(set(expected)) == len(expected), "two modules export the same name"
+    for module in modules:
+        for entry in module.__all__:
+            assert getattr(package, entry) is getattr(module, entry), f"stochrec.{entry}"
 
 
 def string_constants(tree: ast.AST) -> set[str]:

@@ -327,8 +327,12 @@ class TestDistributionsEqual:
             distributions_equal(s, s, deltas, 99, 0.01)
         with pytest.raises(ValueError):
             distributions_equal(s, s, [], 150, 0.01)
-        with pytest.raises(ValueError):
-            distributions_equal(s, s, deltas, 150, 1.5)
+
+        def never_drawn(r):
+            raise AssertionError("a replica was drawn before alpha was checked")
+
+        with pytest.raises(ValueError, match="alpha"):
+            distributions_equal(never_drawn, never_drawn, deltas, 150, 1.5)
 
 
 class TestKsThresholds:
