@@ -489,6 +489,17 @@ class TestBadInput:
         out = tmp_path / "st.json"
         code = main(
             ["diagnose", "stationarity", "--n", "150", "--particles", "80",
+             "--shifts=-2", "--seed", "5", "--out", str(out)]
+        )
+        assert code in (0, 1)
+        names = [r["test_name"] for r in read_json(out)["reports"]]
+        assert names == ["stationarity:shift=-2"]
+
+    def test_negative_first_shift_list_runs(self, tmp_path):
+        # a list led by a negative shift needs the --shifts=-2,1 form; reports keep its order
+        out = tmp_path / "st.json"
+        code = main(
+            ["diagnose", "stationarity", "--n", "150", "--particles", "80",
              "--shifts=-2,1", "--seed", "5", "--out", str(out)]
         )
         assert code in (0, 1)

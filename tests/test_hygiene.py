@@ -38,17 +38,19 @@ def loaded(tree: ast.Module) -> set[str]:
     return names
 
 
-def imported(tree: ast.Module) -> set[str]:
+def imported(tree: ast.Module, package_init: bool = False) -> set[str]:
     """Names bound by the module's import statements.
 
-    ``from .m import *`` counts as an import of ``m``: the package's star
-    re-export is used only when it reads ``m.__all__``.
+    In a package ``__init__``, ``from .m import *`` binds the submodule ``m``
+    and counts as an import of it, used only when ``m.__all__`` is read.
+    Anywhere else a star import binds no name of its own, so it is recorded
+    as ``*``, which nothing reads, and is always reported unused.
     """
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
-                if alias.name == "*":
+                if alias.name == "*" and package_init and node.level == 1 and node.module:
                     names.add(node.module.split(".")[0])
                 else:
                     names.add(alias.asname or alias.name.split(".")[0])
@@ -71,7 +73,7 @@ def private_definitions(tree: ast.Module) -> set[str]:
 @pytest.mark.parametrize("name", sorted(TREES))
 def test_no_unused_import(name):
     tree = TREES[name]
-    unused = imported(tree) - loaded(tree) - exported(tree)
+    unused = imported(tree, name == "__init__.py") - loaded(tree) - exported(tree)
     assert not unused, f"{name} imports {sorted(unused)} and never uses them"
 
 
