@@ -256,13 +256,9 @@ def default_cylinder_family(
 
 def _shift_report(sampler_a, sampler_b, t, deltas, config, seed, prefix) -> StatReport:
     """Report ``{prefix}:shift={t}``: ``sampler_a`` against ``sampler_b`` translated by ``t``."""
-
-    def shifted(r: int) -> ParticleMeasure:
-        return shift_path(sampler_b(r), t)
-
     return distributions_equal(
-        sampler_a, shifted, deltas, replicas=config.sample_size, alpha=config.alpha,
-        seed=seed, name=f"{prefix}:shift={t}",
+        sampler_a, lambda r: shift_path(sampler_b(r), t), deltas, replicas=config.sample_size,
+        alpha=config.alpha, seed=seed, name=f"{prefix}:shift={t}",
     )
 
 
@@ -333,15 +329,15 @@ def _pair_sigma(rho: float, a: float) -> float:
     return math.sqrt(1.0 - rho * rho)
 
 
-def _stationary_gaussian_path(a: float, seed: int, lo: int, hi: int) -> np.ndarray:
-    """AR(1) path with unit stationary variance, started at stationarity."""
-    y = np.empty(hi - lo + 1)
-    y[0] = y0 = float(draw_normal(substream(seed, "pair-y0"), 0))
-    scale = math.sqrt(1.0 - a * a)
+def _stationary_gaussian_path(a: float, seeds, lo: int, hi: int) -> np.ndarray:
+    """AR(1) path with unit stationary variance from stationarity; one row per seed of an array."""
+    y = np.empty(np.shape(seeds) + (hi - lo + 1,))
+    y[..., 0] = y0 = draw_normal(substream(seeds, "pair-y0"), 0)
     # one array draw over counters lo+1..hi equals the per-counter draws
-    counters = counter_range(lo + 1, hi - lo)
-    innovations = scale * draw_normal(substream(seed, "pair-innov"), counters)
-    advance(contraction_map(a).apply, y0, innovations.tolist(), out=y[1:])
+    innov_seeds = np.expand_dims(substream(seeds, "pair-innov"), -1)
+    innovations = draw_normal(innov_seeds, counter_range(lo + 1, hi - lo))
+    innovations *= math.sqrt(1.0 - a * a)
+    advance(contraction_map(a).apply, y0, innovations.T, out=y[..., 1:])
     return y
 
 
@@ -398,6 +394,9 @@ def conditional_law_demo(rho: float, a: float, config: DiagnosticsConfig) -> Sta
     )
 
 
+_SLICE_VALUES = 2**16  # values per slice of the Gaussian-pair sampler's replicas (512 kB)
+
+
 def gaussian_pair_sampler(rho: float, a: float, config: DiagnosticsConfig) -> MeasureSampler:
     """Sampler of conditional particle measures for the Gaussian pair.
 
@@ -405,18 +404,31 @@ def gaussian_pair_sampler(rho: float, a: float, config: DiagnosticsConfig) -> Me
     ``particle_count`` conditional trajectories of the dependent series on
     the window.  The pair is jointly stationary, so this sampler and its
     translates coincide in distribution.
+
+    Replicas are drawn in aligned slices of about ``2**16`` values and the
+    last slice is kept, so the order of access sets the cost.  Replica ``r``
+    (any index) is a read-only view into its slice, a pure function of ``r``.
     """
     sigma = _pair_sigma(rho, a)
     lo, hi = config.window
     length = hi - lo + 1
+    width = max(1, _SLICE_VALUES // (config.particle_count * length))
     path_root = substream(config.seed, "pair-path")
     eps_root = substream(config.seed, "pair-ensemble")
+    counters = np.arange(config.particle_count * length).reshape(-1, length)
+    held = {}
 
     def sample(replica: int) -> ParticleMeasure:
-        y = _stationary_gaussian_path(a, int(draw_u64(path_root, replica)), lo, hi)
-        eps = draw_normal(
-            int(draw_u64(eps_root, replica)), np.arange(config.particle_count * length)
-        ).reshape(config.particle_count, length)
-        return ParticleMeasure(lo, rho * y[None, :] + sigma * eps)
+        replica = operator.index(replica)
+        first = replica - replica % width
+        if first not in held:
+            held.clear()  # before the draw, so that one slice is live at a time
+            replicas = counter_range(first, width)
+            y = _stationary_gaussian_path(a, draw_u64(path_root, replicas), lo, hi)
+            eps = sigma * draw_normal(draw_u64(eps_root, replicas)[:, None, None], counters)
+            eps += (rho * y)[:, None, :]
+            eps.setflags(write=False)
+            held[first] = eps
+        return ParticleMeasure(lo, held[first][replica - first])
 
     return sample

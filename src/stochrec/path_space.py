@@ -38,11 +38,12 @@ class Window:
     The last axis is the sequence index: ``values[..., i - offset]`` is the
     coordinate at absolute index ``i``, so a 1-d window holds one path and
     leading axes hold several (a particle matrix has one row per particle).
-    A writable array is copied column-major, so that each coordinate's
-    values are contiguous; a read-only array is shared as it is, and a
-    caller's array is never frozen or captured.  Windows are equal when their
-    offsets, shapes and float64 bit patterns agree, so ``-0.0`` is not
-    ``+0.0``; the memory order does not matter.  Values must be finite.
+    An array is copied column-major when it or an array in its base chain
+    is writable, so that each coordinate's values are contiguous; others are
+    shared, and a caller's array is never frozen or captured.  Windows
+    are equal when their offsets, shapes and float64 bit patterns agree, so
+    ``-0.0`` is not ``+0.0``; the memory order does not matter.  Values must
+    be finite.
     """
 
     offset: int
@@ -50,7 +51,10 @@ class Window:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
-        if values.flags.writeable:
+        base = values
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        if base is not None:
             values = values.copy(order="F")
             values.setflags(write=False)
         if values.ndim < 1 or values.size == 0:

@@ -174,13 +174,13 @@ def distributions_equal(
 ) -> StatReport:
     """Test whether two measure samplers agree in distribution.
 
-    Draws ``replicas`` independent realizations from each sampler, evaluates
-    the vector of rectangle probabilities ``(mu(delta_1), ..., mu(delta_n))``
-    for each, and runs a two-sample Kolmogorov-Smirnov test on every
-    coordinate and on one fixed random linear combination of coordinates
-    (coefficients drawn once from ``seed``).  The statistic is the largest KS
-    distance over those scalar projections; the threshold is the asymptotic
-    critical value at level ``alpha``.
+    Draws ``replicas`` independent realizations from each sampler, replica
+    ``r`` of both before replica ``r + 1``, evaluates the vector of rectangle
+    probabilities ``(mu(delta_1), ..., mu(delta_n))`` for each, and runs a
+    two-sample Kolmogorov-Smirnov test on every coordinate and on one fixed
+    random linear combination of coordinates (coefficients drawn once from
+    ``seed``).  The statistic is the largest KS distance over those scalar
+    projections; the threshold is the asymptotic critical value at level ``alpha``.
 
     This is a statistical check on a fixed finite family of rectangles, at a
     fixed level; it falsifies, it does not prove.
@@ -191,8 +191,11 @@ def distributions_equal(
         raise ValueError("deltas must be nonempty")
     threshold = ks_two_sample_threshold(alpha, replicas, replicas)
 
-    vec_a = np.asarray([_delta_vector(sampler_a(r), deltas) for r in range(replicas)])
-    vec_b = np.asarray([_delta_vector(sampler_b(r), deltas) for r in range(replicas)])
+    # replica r of both sides before r + 1: a shared slice-drawing sampler draws a slice once
+    vec_a, vec_b = np.empty((2, replicas, len(deltas)))
+    for r in range(replicas):
+        vec_a[r] = _delta_vector(sampler_a(r), deltas)
+        vec_b[r] = _delta_vector(sampler_b(r), deltas)
 
     coeffs = 2.0 * draw_unit(substream(seed, "projection"), np.arange(len(deltas))) - 1.0
     proj_a = np.column_stack([vec_a, (vec_a * coeffs).sum(axis=1)])

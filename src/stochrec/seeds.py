@@ -102,8 +102,8 @@ def mix64(z):
     return np.uint64(_mix(z)) if isinstance(z, int) else _mix_array(z)
 
 
-def substream(master: int, tag: str) -> int:
-    """Derive the named child seed ``mix64(master XOR fnv1a64(tag))``."""
+def substream(master, tag: str):
+    """Derive the named child seed ``mix64(master XOR fnv1a64(tag))``; elementwise on arrays."""
     return _mix(_as_u64(master) ^ fnv1a64(tag))
 
 

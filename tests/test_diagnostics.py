@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -523,6 +524,48 @@ class TestGaussianPairSampler:
         eps_seed = int(draw_u64(substream(seed, "pair-ensemble"), replica))
         eps = draw_normal(eps_seed, np.arange(3 * (steps + 1))).reshape(3, steps + 1)
         assert int_bits(got) == int_bits(rho * y[None, :] + math.sqrt(1.0 - rho * rho) * eps)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        rho=open_unit, a=open_unit, seed=seeds, lo=st.integers(-20, 20),
+        steps=st.integers(1, 11), per_slice=st.integers(1, 4), data=st.data(),
+    )
+    def test_replicas_across_slice_boundaries(self, rho, a, seed, lo, steps, per_slice, data):
+        # particle counts that fit 1-4 replicas in a slice; every replica of
+        # four slices around 0, read in shuffled order, and two read again
+        length = steps + 1
+        particles = diagnostics._SLICE_VALUES // (per_slice * length)
+        assert diagnostics._SLICE_VALUES // (particles * length) == per_slice
+        cfg = config(sample_size=100, particle_count=particles, seed=seed, window=(lo, lo + steps))
+        order = data.draw(st.permutations(range(-per_slice - 1, 2 * per_slice + 1)))
+        sample = gaussian_pair_sampler(rho, a, cfg)
+        sigma = math.sqrt(1.0 - rho * rho)
+        for replica in [*order, *order[:2]]:
+            got = sample(replica)
+            assert got.offset == lo and not got.values.flags.writeable
+            y = reference_gaussian_path(
+                a, int(draw_u64(substream(seed, "pair-path"), replica)), lo, lo + steps
+            )
+            eps_seed = int(draw_u64(substream(seed, "pair-ensemble"), replica))
+            eps = draw_normal(eps_seed, np.arange(particles * length)).reshape(particles, length)
+            want = rho * y[None, :] + sigma * eps
+            assert np.array_equal(got.values.view(np.int64), want.view(np.int64))
+
+    def test_memory_independent_of_replica_count(self):
+        # one slice is held at a time, so ten times the replicas (and a whole
+        # (R, P, L) block would be 48 MB at 3,000) take no more memory
+        def peak(replicas):
+            cfg = config(sample_size=replicas, particle_count=200, window=(0, 9))
+            sample = gaussian_pair_sampler(0.8, 0.5, cfg)
+            tracemalloc.start()
+            try:
+                for r in range(replicas):
+                    sample(r)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(3000) < 1.2 * peak(300)
 
 
 class TestStationaryGaussianPath:

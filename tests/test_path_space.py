@@ -83,6 +83,25 @@ class TestWindowArray:
         raw.setflags(write=False)
         assert Window(offset=0, values=raw).values is raw
 
+    @pytest.mark.parametrize("kind", [Window, ParticleMeasure])
+    def test_read_only_view_of_writable_base_copied(self, kind):
+        # the view cannot be written, but its base can: sharing it would let
+        # the caller put inf into the window after the finiteness check
+        a = np.zeros((2, 4))
+        v = a.view()
+        v.setflags(write=False)
+        w = kind(0, v)
+        a[0, 1] = np.inf
+        assert not np.shares_memory(w.values, a)
+        assert np.isfinite(w.values).all()
+
+    @pytest.mark.parametrize("kind", [Window, ParticleMeasure])
+    def test_read_only_view_of_read_only_base_shared(self, kind):
+        base = np.arange(24.0)
+        base.setflags(write=False)
+        view = base.reshape(3, 2, 4)[1]
+        assert kind(0, view).values is view
+
     def test_equality_is_offset_and_exact_values(self):
         w = Window(offset=1, values=(0.25, 0.5))
         assert w == Window(offset=1, values=np.array([0.25, 0.5]))

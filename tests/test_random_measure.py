@@ -320,6 +320,19 @@ class TestDistributionsEqual:
         assert report.statistic == 1.0
         assert not report.passed
 
+    def test_replica_r_of_both_sides_before_r_plus_one(self):
+        # a slice-drawing sampler shared by both sides draws each slice once
+        # only in this order
+        calls = []
+
+        def logged(side):
+            mu = ParticleMeasure(0, np.full((4, 2), 0.25))
+            return lambda r: calls.append((side, r)) or mu
+
+        deltas = [CylinderSet(0, ((0.0, 0.5),))]
+        distributions_equal(logged("a"), logged("b"), deltas, 120, 0.01)
+        assert calls == [(side, r) for r in range(120) for side in "ab"]
+
     def test_parameter_validation(self):
         deltas = [CylinderSet(0, ((0.0, 0.5),))]
         s = self.constant_sampler(0.0)

@@ -194,6 +194,13 @@ class TestScalarPath:
             assert type(got) is int
             assert bits(np.uint64(got)) == bits(want)
 
+    @given(masters=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8),
+           tag=st.text(max_size=12))
+    def test_substream_of_an_array_is_elementwise(self, masters, tag):
+        got = substream(np.array(masters, dtype=np.uint64), tag)
+        assert got.dtype == np.uint64 and got.shape == (len(masters),)
+        assert [int(g) for g in got] == [substream(m, tag) for m in masters]
+
     def test_scalar_counter_with_seed_array_does_not_warn(self):
         # the step (counter + 1) * GOLDEN overflows; as a numpy scalar product
         # it would warn, so it is taken in Python ints
