@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -21,13 +20,10 @@ import numpy as np
 from . import __version__
 from .diagnostics import (
     DiagnosticsConfig,
-    _fit,
-    _shift_report,
     _shifts,
     conditional_char_statistic,
-    conditional_law_demo,
+    conditional_law_suite,
     default_cylinder_family,
-    gaussian_pair_sampler,
     rotation_invariance_demo,
     stationarity_suite,
     tsirelson_samples,
@@ -44,7 +40,7 @@ from .measure_solution import (
     consistency_check,
 )
 from .path_space import Window
-from .random_measure import CylinderSet, StatReport
+from .random_measure import StatReport
 from .recurrence import NoiseModel, iterate_forward, update_map_from_name
 from .seeds import PRNG_NAME, draw_u64, draw_unit, substream
 
@@ -211,21 +207,7 @@ def _diagnose_rotation(args) -> list[StatReport]:
 
 
 def _diagnose_conditional_law(args) -> list[StatReport]:
-    config = _config(args)
-    # intervals sized for standard-normal values
-    deltas = [
-        CylinderSet(start=config.window[0] + 1, intervals=((-0.5, 0.5),)),
-        CylinderSet(start=config.window[0] + 2, intervals=((0.0, 1.5),)),
-    ]
-    _fit(config.window, deltas, [1])
-    reports = [conditional_law_demo(args.rho, args.a, config)]
-    # the shift comparison needs many replicas, not a huge per-replica ensemble
-    shift_config = replace(config, particle_count=min(200, config.particle_count))
-    sampler = gaussian_pair_sampler(args.rho, args.a, shift_config)
-    seed = substream(args.seed, "pair-shift-proj")
-    # side b replica r is side a replica r shifted, so the KS samples are not independent
-    reports.append(_shift_report(sampler, sampler, 1, deltas, config, seed, "conditional_law"))
-    return reports
+    return conditional_law_suite(args.rho, args.a, _config(args))
 
 
 def _failure_fraction(name: str, checks: list[bool], seed: int) -> list[StatReport]:

@@ -17,7 +17,7 @@ level.
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -48,7 +48,7 @@ __all__ = [
     "rotation_flow",
     "rotation_invariance_demo",
     "conditional_law_demo",
-    "gaussian_pair_conditional_samples",
+    "conditional_law_suite",
     "gaussian_pair_sampler",
 ]
 
@@ -341,33 +341,6 @@ def _stationary_gaussian_path(a: float, seeds, lo: int, hi: int) -> np.ndarray:
     return y
 
 
-def gaussian_pair_conditional_samples(
-    rho: float,
-    a: float,
-    config: DiagnosticsConfig,
-    indices: Sequence[int],
-) -> dict[int, tuple[float, np.ndarray]]:
-    """Frozen driver path plus conditional samples of the dependent series.
-
-    Simulates one stationary Gaussian driver path ``y`` on the window and,
-    for each requested index ``n``, draws ``particle_count`` conditional
-    samples ``rho * y_n + sqrt(1 - rho^2) * eps``.  Returns
-    ``{n: (y_n, samples)}``; the exact conditional law at ``n`` is normal
-    with mean ``rho * y_n`` and variance ``1 - rho^2``.
-    """
-    sigma = _pair_sigma(rho, a)
-    indices = [_index(config.window, n) for n in indices]
-    lo, hi = config.window
-    y = _stationary_gaussian_path(a, config.seed, lo, hi)
-    out = {}
-    for n in indices:
-        eps = draw_normal(
-            substream(config.seed, f"pair-eps:{n}"), np.arange(config.particle_count)
-        )
-        out[n] = (float(y[n - lo]), rho * y[n - lo] + sigma * eps)
-    return out
-
-
 def conditional_law_demo(rho: float, a: float, config: DiagnosticsConfig) -> StatReport:
     """Empirical conditional law versus its closed-form Gaussian oracle.
 
@@ -380,11 +353,13 @@ def conditional_law_demo(rho: float, a: float, config: DiagnosticsConfig) -> Sta
     sigma = _pair_sigma(rho, a)
     lo, hi = config.window
     span = hi - lo
-    indices = sorted({lo + 1, lo + span // 3 + 1, lo + (2 * span) // 3, hi})
-    samples = gaussian_pair_conditional_samples(rho, a, config, indices)
+    y = _stationary_gaussian_path(a, config.seed, lo, hi)
+    particles = np.arange(config.particle_count)
     statistic = 0.0
-    for y_n, draws in samples.values():
-        statistic = max(statistic, _sps.kstest(draws, rho * y_n, sigma))
+    for n in sorted({lo + 1, lo + span // 3 + 1, lo + (2 * span) // 3, hi}):
+        eps = draw_normal(substream(config.seed, f"pair-eps:{n}"), particles)
+        mean = rho * y[n - lo]
+        statistic = max(statistic, _sps.kstest(mean + sigma * eps, mean, sigma))
     return StatReport(
         test_name="conditional_law",
         statistic=statistic,
@@ -407,7 +382,7 @@ def gaussian_pair_sampler(rho: float, a: float, config: DiagnosticsConfig) -> Me
 
     Replicas are drawn in aligned slices of about ``2**16`` values and the
     last slice is kept, so the order of access sets the cost.  Replica ``r``
-    (any index) is a read-only view into its slice, a pure function of ``r``.
+    (any index) is a read-only column-major view into its slice, a pure function of ``r``.
     """
     sigma = _pair_sigma(rho, a)
     lo, hi = config.window
@@ -415,7 +390,8 @@ def gaussian_pair_sampler(rho: float, a: float, config: DiagnosticsConfig) -> Me
     width = max(1, _SLICE_VALUES // (config.particle_count * length))
     path_root = substream(config.seed, "pair-path")
     eps_root = substream(config.seed, "pair-ensemble")
-    counters = np.arange(config.particle_count * length).reshape(-1, length)
+    # counters[l, p] = p * length + l, so that each replica's (L, P) block is C-ordered
+    counters = np.arange(config.particle_count * length).reshape(-1, length).T.copy()
     held = {}
 
     def sample(replica: int) -> ParticleMeasure:
@@ -425,10 +401,33 @@ def gaussian_pair_sampler(rho: float, a: float, config: DiagnosticsConfig) -> Me
             held.clear()  # before the draw, so that one slice is live at a time
             replicas = counter_range(first, width)
             y = _stationary_gaussian_path(a, draw_u64(path_root, replicas), lo, hi)
-            eps = sigma * draw_normal(draw_u64(eps_root, replicas)[:, None, None], counters)
-            eps += (rho * y)[:, None, :]
+            eps = draw_normal(draw_u64(eps_root, replicas)[:, None, None], counters)
+            eps *= sigma
+            eps += (rho * y)[:, :, None]
             eps.setflags(write=False)
             held[first] = eps
-        return ParticleMeasure(lo, held[first][replica - first])
+        return ParticleMeasure(lo, held[first][replica - first].T)
 
     return sample
+
+
+def conditional_law_suite(rho: float, a: float, config: DiagnosticsConfig) -> list[StatReport]:
+    """The Gaussian pair's closed-form oracle and its shift test.
+
+    Reports :func:`conditional_law_demo`, then :func:`distributions_equal`
+    of :func:`gaussian_pair_sampler` (at most 200 particles per replica:
+    the test needs many replicas, not large ensembles) against its
+    translate by 1 on two rectangles sized for standard-normal values.
+    Both rectangles are checked against the window and its shift before
+    anything is drawn.  Side b's replica ``r`` is side a's replica ``r``
+    translated, so the two samples of each KS test are not independent.
+    """
+    lo = config.window[0]
+    deltas = [CylinderSet(lo + 1, ((-0.5, 0.5),)), CylinderSet(lo + 2, ((0.0, 1.5),))]
+    _fit(config.window, deltas, [1])
+    demo = conditional_law_demo(rho, a, config)
+    sampler = gaussian_pair_sampler(
+        rho, a, replace(config, particle_count=min(200, config.particle_count))
+    )
+    proj = substream(config.seed, "pair-shift-proj")
+    return [demo, _shift_report(sampler, sampler, 1, deltas, config, proj, "conditional_law")]

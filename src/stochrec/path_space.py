@@ -40,10 +40,11 @@ class Window:
     leading axes hold several (a particle matrix has one row per particle).
     An array is copied column-major when it or an array in its base chain
     is writable, so that each coordinate's values are contiguous; others are
-    shared, and a caller's array is never frozen or captured.  Windows
-    are equal when their offsets, shapes and float64 bit patterns agree, so
-    ``-0.0`` is not ``+0.0``; the memory order does not matter.  Values must
-    be finite.
+    shared, and a caller's array is never frozen or captured.  This stops
+    accidental writes and aliasing of writable arrays, not code that sets
+    ``write=True`` again on the array that owns the data.  Windows are equal
+    when their offsets, shapes and float64 bit patterns agree, so ``-0.0`` is
+    not ``+0.0``; the memory order does not matter.  Values must be finite.
     """
 
     offset: int

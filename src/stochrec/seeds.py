@@ -39,7 +39,6 @@ __all__ = [
     "substream",
     "draw_u64",
     "draw_unit",
-    "draw_unit_open",
     "draw_normal",
 ]
 
@@ -149,16 +148,6 @@ def draw_unit(seed, counters):
     return bits * _INV_2_53
 
 
-def draw_unit_open(seed, counters):
-    """Uniform float64 draws in (0, 1]; safe as a logarithm argument."""
-    bits = _draw(seed, counters)
-    if isinstance(bits, int):
-        return np.float64(((bits >> 11) + 1) * _INV_2_53)
-    bits >>= np.uint64(11)
-    bits += np.uint64(1)
-    return bits * _INV_2_53
-
-
 _NORMAL_R_SALT = fnv1a64("normal-radius")
 _NORMAL_T_SALT = fnv1a64("normal-angle")
 
@@ -170,11 +159,13 @@ def draw_normal(seed, counters):
     pure functions of ``(seed, counter)``.  The transform
     ``sqrt(-2 log u1) * cos(2 pi u2)`` runs in place in ``u1`` and ``u2``
     (scalars as 0-d arrays), so an array draw holds three draw-sized arrays
-    at its peak: ``u1``, ``u2`` and the temporary of drawing ``u2``.
+    at its peak: ``u1``, ``u2`` and the temporary of drawing ``u2``.  It
+    returns ``u1`` itself, which the caller owns, or an ``np.float64``.
     """
     s = _as_u64(seed)
     mix = _mix if isinstance(s, int) else _mix_array
-    u1 = np.asarray(draw_unit_open(mix(s ^ _NORMAL_R_SALT), counters))
+    u1 = np.asarray(draw_unit(mix(s ^ _NORMAL_R_SALT), counters))
+    u1 += _INV_2_53  # (k + 1) * 2**-53 exactly: in (0, 1], a safe log argument
     u2 = np.asarray(draw_unit(mix(s ^ _NORMAL_T_SALT), counters))
     np.log(u1, out=u1)
     u1 *= -2.0
@@ -182,4 +173,4 @@ def draw_normal(seed, counters):
     u2 *= 2.0 * np.pi
     np.cos(u2, out=u2)
     u1 *= u2
-    return u1[()]
+    return u1 if u1.ndim else u1[()]

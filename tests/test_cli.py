@@ -412,6 +412,29 @@ class TestDiagnose:
         names = [r["test_name"] for r in read_json(out)["reports"]]
         assert names == ["conditional_law", "conditional_law:shift=1"]
 
+    @pytest.mark.parametrize(
+        "extra, config",
+        [
+            *(
+                (["--seed", str(seed)], (300, 10_000, seed, (0, 9)))
+                for seed in range(5)
+            ),
+            (
+                ["--n", "137", "--particles", "57", "--window-lo", "-5"],
+                (137, 57, 0, (-5, 4)),
+            ),
+        ],
+        ids=[*(f"seed{seed}" for seed in range(5)), "small"],
+    )
+    def test_conditional_law_is_one_library_call(self, tmp_path, extra, config):
+        # the CLI writes exactly the reports of diagnostics.conditional_law_suite
+        out = tmp_path / "cl.json"
+        assert main(["diagnose", "conditional-law", *extra, "--out", str(out)]) in (0, 1)
+        n, particles, seed, window = config
+        cfg = diagnostics.DiagnosticsConfig(n, particles, 0.01, seed, window)
+        reports = diagnostics.conditional_law_suite(0.8, 0.5, cfg)
+        assert read_json(out)["reports"] == [r.as_dict() for r in reports]
+
 
 class TestDeterminism:
     def test_repeat_runs_identical_payloads(self, tmp_path):
@@ -553,9 +576,11 @@ class TestBadInput:
     ):
         # the shifted rectangles need three steps; refuse before the demo runs
         demo_calls = []
-        demo = cli.conditional_law_demo
+        demo = diagnostics.conditional_law_demo
         monkeypatch.setattr(
-            cli, "conditional_law_demo", lambda *a, **k: demo_calls.append(a) or demo(*a, **k)
+            diagnostics,
+            "conditional_law_demo",
+            lambda *a, **k: demo_calls.append(a) or demo(*a, **k),
         )
         out = tmp_path / "cl.json"
         code = main(

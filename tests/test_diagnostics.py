@@ -11,8 +11,8 @@ from stochrec.diagnostics import (
     RotationState,
     conditional_char_statistic,
     conditional_law_demo,
+    conditional_law_suite,
     default_cylinder_family,
-    gaussian_pair_conditional_samples,
     gaussian_pair_sampler,
     rotation_flow,
     rotation_invariance_demo,
@@ -21,7 +21,12 @@ from stochrec.diagnostics import (
     tsirelson_statistic,
 )
 from stochrec.errors import CoverageError
-from stochrec.measure_solution import MeasureBuilder, conditional_measure, consistency_check
+from stochrec.measure_solution import (
+    MeasureBuilder,
+    conditional_measure,
+    consistency_check,
+    perturb_last_coordinate,
+)
 from stochrec.path_space import shift_path
 from stochrec.random_measure import CylinderSet, distributions_equal, integrate
 from stochrec.recurrence import NoiseModel, contraction_map, fractional_map, iterate_forward
@@ -66,6 +71,16 @@ def reference_char_statistic(cfg, n, update_map, noise_paths):
     return max(moduli)
 
 
+def demo_kstests(rho, a, cfg):
+    """The ``(draws, loc, scale)`` that :func:`conditional_law_demo` passes to each KS test."""
+    calls = []
+    kstest = diagnostics._sps.kstest
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(diagnostics._sps, "kstest", lambda *args: calls.append(args) or kstest(*args))
+        conditional_law_demo(rho, a, cfg)
+    return calls
+
+
 def int_bits(values):
     return np.ascontiguousarray(values, dtype=np.float64).view(np.int64).tolist()
 
@@ -106,15 +121,8 @@ class TestConfigTypes:
             ),
             lambda: tsirelson_samples(config(), 5.0),
             lambda: conditional_char_statistic(config(), 5.0),
-            lambda: gaussian_pair_conditional_samples(0.8, 0.5, config(), [1, 5.0]),
         ],
-        ids=[
-            "config_seed",
-            "consistency_check",
-            "tsirelson_samples",
-            "conditional_char_statistic",
-            "gaussian_pair_conditional_samples",
-        ],
+        ids=["config_seed", "consistency_check", "tsirelson_samples", "conditional_char_statistic"],
     )
     def test_float_position_refused_before_any_build(self, entry, monkeypatch):
         # each used to build (or draw) first, then fail with "slice indices must
@@ -442,9 +450,11 @@ class TestConditionalLawDemo:
 
     def test_rho_zero_independent_of_driver(self):
         cfg = config(particle_count=500, window=(0, 9))
-        slow = gaussian_pair_conditional_samples(0.0, 0.2, cfg, [3])
-        fast = gaussian_pair_conditional_samples(0.0, 0.9, cfg, [3])
-        assert np.array_equal(slow[3][1], fast[3][1])
+        slow = demo_kstests(0.0, 0.2, cfg)
+        fast = demo_kstests(0.0, 0.9, cfg)
+        assert len(slow) == len(fast) == 4
+        for (slow_draws, *_), (fast_draws, *_) in zip(slow, fast):
+            assert np.array_equal(slow_draws, fast_draws)
         assert conditional_law_demo(0.0, 0.5, cfg).passed
 
     @pytest.mark.parametrize("rho,a", [(1.0, 0.5), (-1.2, 0.5), (0.5, 1.0)])
@@ -460,10 +470,10 @@ class TestConditionalLawDemo:
         "entry",
         [
             lambda rho, a, cfg: conditional_law_demo(rho, a, cfg),
-            lambda rho, a, cfg: gaussian_pair_conditional_samples(rho, a, cfg, [1]),
+            lambda rho, a, cfg: conditional_law_suite(rho, a, cfg),
             lambda rho, a, cfg: gaussian_pair_sampler(rho, a, cfg),
         ],
-        ids=["conditional_law_demo", "gaussian_pair_conditional_samples", "gaussian_pair_sampler"],
+        ids=["conditional_law_demo", "conditional_law_suite", "gaussian_pair_sampler"],
     )
     def test_one_refusal_for_every_entry_point(self, entry, rho, a):
         # at (1.5, 0.5) and (0.5, 1.5) the sampling entry points used to die
@@ -473,23 +483,18 @@ class TestConditionalLawDemo:
             entry(rho, a, config())
         assert str(info.value) == f"{name} must satisfy |{name}| < 1, got {value}"
 
-    def test_out_of_window_index_refused_before_any_draw(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("drew before refusing")
-
-        monkeypatch.setattr(diagnostics, "_stationary_gaussian_path", refuse)
-        monkeypatch.setattr(diagnostics, "draw_normal", refuse)
-        with pytest.raises(CoverageError, match=r"index 99 outside window \(0, 8\)"):
-            gaussian_pair_conditional_samples(0.8, 0.5, config(), [1, 99])
-
     def test_conditional_mean_tracks_driver(self):
         rho, a = 0.8, 0.5
         cfg = config(particle_count=4000, window=(0, 9))
         sigma = math.sqrt(1.0 - rho * rho)
-        samples = gaussian_pair_conditional_samples(rho, a, cfg, [1, 4, 7, 9])
-        for y_n, draws in samples.values():
+        y = reference_gaussian_path(a, cfg.seed, 0, 9)
+        calls = demo_kstests(rho, a, cfg)
+        # the four indices spread over the window [0, 9]
+        assert [loc for _, loc, _ in calls] == [rho * y[n] for n in (1, 4, 6, 9)]
+        for draws, loc, scale in calls:
+            assert scale == sigma and draws.shape == (cfg.particle_count,)
             bound = 5.0 * sigma / math.sqrt(cfg.particle_count)
-            assert abs(draws.mean() - rho * y_n) <= bound
+            assert abs(draws.mean() - loc) <= bound
 
 
 class TestGaussianPairSampler:
@@ -551,6 +556,24 @@ class TestGaussianPairSampler:
             want = rho * y[None, :] + sigma * eps
             assert np.array_equal(got.values.view(np.int64), want.view(np.int64))
 
+    @pytest.mark.parametrize("per_slice", [1, 2, 3, 4])
+    def test_replicas_are_column_major_views_of_the_held_slice(self, per_slice):
+        # the slice is drawn as (width, L, P), so replica r is a (P, L) view
+        # with contiguous columns; neighbours in one slice share its block
+        length = 10
+        particles = diagnostics._SLICE_VALUES // (per_slice * length)
+        sample = gaussian_pair_sampler(0.8, 0.5, config(particle_count=particles, window=(0, 9)))
+        replicas = [sample(r).values for r in range(2 * per_slice)]
+        for values in replicas:
+            assert values.shape == (particles, length)
+            assert values.flags.f_contiguous and not values.flags.writeable
+            block = values.base
+            assert block.shape == (per_slice, length, particles)
+            assert block.base is None and not block.flags.writeable
+        for r in range(2 * per_slice - 1):
+            same_slice = (r + 1) % per_slice != 0
+            assert (replicas[r].base is replicas[r + 1].base) == same_slice
+
     def test_memory_independent_of_replica_count(self):
         # one slice is held at a time, so ten times the replicas (and a whole
         # (R, P, L) block would be 48 MB at 3,000) take no more memory
@@ -566,6 +589,16 @@ class TestGaussianPairSampler:
                 tracemalloc.stop()
 
         assert peak(3000) < 1.2 * peak(300)
+
+
+def test_every_built_measure_is_column_major():
+    # ParticleMeasure documents column-major storage; each construction keeps it
+    mu = conditional_measure(
+        MeasureBuilder(fractional_map(), 50, (0, 8), 3), NoiseModel(1).driving((0, 8))
+    )
+    pair = gaussian_pair_sampler(0.8, 0.5, config(particle_count=50))
+    for measure in (mu, perturb_last_coordinate(mu, 4), pair(0), pair(-7)):
+        assert measure.values.shape == (50, 9) and measure.values.flags.f_contiguous
 
 
 class TestStationaryGaussianPath:

@@ -113,6 +113,30 @@ def test_package_reexports_every_module_export():
             assert getattr(package, entry) is getattr(module, entry), f"stochrec.{entry}"
 
 
+# module -> the private names it may import from a sibling, each for one reason
+ALLOWED_PRIVATE_IMPORTS = {
+    # the package's one exact comparison (float64 bit patterns)
+    "measure_solution.py": {("path_space", "_same_bits")},
+    # the shift rule the CLI applies before it sizes the rectangle family
+    "cli.py": {("diagnostics", "_shifts")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_no_private_import_across_modules(name):
+    # a private name belongs to its module; ``from . import _ks as _sps`` binds
+    # a module, not a module's private name, so it stays outside the rule
+    found = {
+        (node.module, alias.name)
+        for node in ast.walk(TREES[name])
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    }
+    unexpected = found - ALLOWED_PRIVATE_IMPORTS.get(name, set())
+    assert not unexpected, f"{name} imports private names {sorted(unexpected)}"
+
+
 def string_constants(tree: ast.AST) -> set[str]:
     return {
         node.value

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -12,7 +13,6 @@ from stochrec.seeds import (
     draw_normal,
     draw_u64,
     draw_unit,
-    draw_unit_open,
     fnv1a64,
     mix64,
     substream,
@@ -51,9 +51,19 @@ class TestStreams:
         for j in range(6):
             assert row[j] == float(draw_unit(int(seeds[j]), 0))
 
-    def test_unit_open_never_zero(self):
-        values = draw_unit_open(11, np.arange(5000))
-        assert np.all(values > 0.0) and np.all(values <= 1.0)
+    def test_normal_radius_uniform_in_open_closed_unit(self, monkeypatch):
+        # draw_unit's least and greatest values, k * 2**-53 at k = 0 and 2**53 - 1;
+        # the radius uniform adds 2**-53, so log(0) is never taken and 1.0 is reached
+        extremes = np.array([0, 2**53 - 1], dtype=np.uint64) * 2.0**-53
+        monkeypatch.setattr("stochrec.seeds.draw_unit", lambda seed, counters: extremes.copy())
+        values = draw_normal(11, np.arange(2))
+        assert values[0] == pytest.approx(math.sqrt(-2.0 * math.log(2.0**-53)))
+        assert values[1] == 0.0
+
+    def test_normal_returns_the_array_it_transformed(self):
+        values = draw_normal(11, np.arange(5))
+        assert values.base is None and values.flags.writeable and values.flags.owndata
+        assert type(draw_normal(11, 0)) is np.float64
 
     def test_large_seed_wraps(self):
         big = 2**70 + 123
@@ -146,9 +156,8 @@ def as_0d(value):
     return np.array(v, dtype=np.int64 if -(2**63) <= v < 2**63 else np.uint64)
 
 
-DRAWS = [draw_u64, draw_unit, draw_unit_open, draw_normal]
-SCALAR_TYPE = {draw_u64: np.uint64, draw_unit: np.float64,
-               draw_unit_open: np.float64, draw_normal: np.float64}
+DRAWS = [draw_u64, draw_unit, draw_normal]
+SCALAR_TYPE = {draw_u64: np.uint64, draw_unit: np.float64, draw_normal: np.float64}
 
 
 class TestScalarPath:
@@ -256,7 +265,8 @@ class TestInPlaceDraws:
     def test_same_bits_as_the_old_expressions(self, seed, counters):
         raw = draw_u64(seed, counters)
         assert bits(draw_unit(seed, counters)) == bits(old_unit(raw))
-        assert bits(draw_unit_open(seed, counters)) == bits(old_unit_open(raw))
+        # the normal's radius uniform: draw_unit plus 2**-53 is (k + 1) * 2**-53 exactly
+        assert bits(draw_unit(seed, counters) + 2.0**-53) == bits(old_unit_open(raw))
         seeds = raw[:1000]
         assert bits(draw_unit(seeds, 7)) == bits(old_unit(draw_u64(seeds, 7)))
 
@@ -270,7 +280,7 @@ class TestInPlaceDraws:
             mix64(counters)
             assert np.array_equal(counters, before) and counters.dtype == before.dtype
 
-    @pytest.mark.parametrize("fn", [draw_u64, draw_unit, draw_unit_open], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("fn", [draw_u64, draw_unit], ids=lambda f: f.__name__)
     @pytest.mark.parametrize("as_seed", [False, True], ids=["counters", "seeds"])
     def test_peak_is_two_draw_sized_arrays(self, fn, as_seed):
         # the result plus one temporary; the old code held three at its peak
@@ -300,7 +310,7 @@ class TestInPlaceDraws:
     @pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**64 - 1])
     def test_normal_same_bits_as_the_old_expression(self, seed):
         def old_normal(counters):
-            u1 = draw_unit_open(mix64(seed ^ fnv1a64("normal-radius")), counters)
+            u1 = draw_unit(mix64(seed ^ fnv1a64("normal-radius")), counters) + 2.0**-53
             u2 = draw_unit(mix64(seed ^ fnv1a64("normal-angle")), counters)
             return np.sqrt(-2.0 * np.log(u1)) * np.cos((2.0 * np.pi) * u2)
 
