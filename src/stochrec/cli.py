@@ -12,7 +12,9 @@ results nor speed.
 import argparse
 import json
 import math
+import os
 import sys
+import tempfile
 from datetime import datetime, timezone
 
 import numpy as np
@@ -41,12 +43,13 @@ from .measure_solution import (
 )
 from .path_space import Window
 from .random_measure import StatReport
-from .recurrence import NoiseModel, iterate_forward, update_map_from_name
+from .recurrence import NoiseModel, advance, update_map_from_name
 from .seeds import PRNG_NAME, draw_u64, draw_unit, substream
 
 HOPF_TOLERANCE = 1e-9
 
 _U64 = 0xFFFFFFFFFFFFFFFF
+_CHUNK = 2**16  # simulate steps per noise window and per batch of rows
 
 
 def _utc_now() -> str:
@@ -99,16 +102,27 @@ def cmd_simulate(args) -> int:
     if args.steps < 1:
         raise ValueError("steps must be at least 1")
     started = _utc_now()
-    noise = NoiseModel(seed=substream(args.seed, "simulate-noise")).driving((0, args.steps))
-    x0 = float(draw_unit(substream(args.seed, "simulate-init"), 0))
-    path = iterate_forward(x0, noise, update_map)
-    # Python floats repr as the shortest round-trip decimal
-    xis = ["", *map(repr, noise.values.tolist())]
-    manifest = _finish_manifest(
-        "simulate", args, {"map": args.map_name, "steps": args.steps}, started
-    )
-    rows = (f"{i},{x!r},{xi}\n" for i, (x, xi) in enumerate(zip(path.values.tolist(), xis)))
-    _write_csv(args.out, manifest, "index,x,xi", rows)
+    noise = NoiseModel(seed=substream(args.seed, "simulate-noise"))
+    x = float(draw_unit(substream(args.seed, "simulate-init"), 0))
+    states = np.empty(min(_CHUNK, args.steps))
+    # rows wait in a scratch file beside --out, so the manifest above them follows the last step
+    folder = os.path.dirname(args.out) or "."
+    if not os.path.isdir(folder):
+        raise FileNotFoundError(f"no directory {folder!r} to write {args.out!r} in")
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n", dir=folder) as rows:
+        rows.write(f"0,{x!r},\n")
+        for first in range(1, args.steps + 1, _CHUNK):
+            xis = noise.window(first, min(_CHUNK, args.steps + 1 - first)).values.tolist()
+            n = len(xis)
+            x = advance(update_map.apply, x, xis, out=states[:n])
+            # Python floats repr as the shortest round-trip decimal
+            path = zip(range(first, first + n), states[:n].tolist(), xis)
+            rows.writelines(f"{i},{state!r},{xi!r}\n" for i, state, xi in path)
+        manifest = _finish_manifest(
+            "simulate", args, {"map": args.map_name, "steps": args.steps}, started
+        )
+        rows.seek(0)
+        _write_csv(args.out, manifest, "index,x,xi", iter(lambda: rows.read(1 << 20), ""))
     return 0
 
 

@@ -25,7 +25,6 @@ __all__ = [
     "contraction_map",
     "update_map_from_name",
     "advance",
-    "iterate_forward",
 ]
 
 
@@ -127,17 +126,3 @@ def advance(step: Callable, x, noise_values, out: np.ndarray | None = None):
         if out is not None:
             out[..., k] = x
     return x
-
-
-def iterate_forward(x0: float, noise: Window, update_map: UpdateMap) -> Window:
-    """Run the recurrence forward through every noise value.
-
-    ``x0`` sits at index ``noise.offset - 1``; the result covers
-    ``noise.offset - 1 .. noise.last_index`` and its first coordinate is
-    exactly ``x0``.  The steps run on Python floats, one scalar ``apply``
-    per noise value.
-    """
-    path = np.empty(len(noise) + 1)
-    path[0] = x0 = float(x0)
-    advance(update_map.apply, x0, noise.values.tolist(), out=path[1:])
-    return Window(offset=noise.offset - 1, values=path)

@@ -1,8 +1,10 @@
+import dataclasses
 import hashlib
 import json
 import os
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,9 +66,66 @@ class TestSimulate:
     def test_bad_steps_exit_2(self, tmp_path):
         assert main(["simulate", "fractional", "0", "--out", str(tmp_path / "x.csv")]) == 2
 
-    def test_io_failure_exit_3(self, tmp_path):
-        missing = tmp_path / "no" / "such" / "dir" / "x.csv"
-        assert main(["simulate", "fractional", "3", "--out", str(missing)]) == 3
+    @staticmethod
+    def record_steps(monkeypatch, events):
+        """Log each map apply and each clock reading in ``events``, in call order.
+
+        A clock reading returns its own position in ``events`` as the timestamp.
+        """
+        parse = cli.update_map_from_name
+
+        def traced_map(text):
+            update_map = parse(text)
+
+            def apply(x, xi):
+                events.append("apply")
+                return update_map.apply(x, xi)
+
+            return dataclasses.replace(update_map, apply=apply)
+
+        def now():
+            events.append("now")
+            return str(len(events) - 1)
+
+        monkeypatch.setattr(cli, "update_map_from_name", traced_map)
+        monkeypatch.setattr(cli, "_utc_now", now)
+
+    def test_finished_at_follows_last_step(self, tmp_path, monkeypatch):
+        events = []
+        self.record_steps(monkeypatch, events)
+        out = tmp_path / "sim.csv"
+        steps = cli._CHUNK + 1  # two noise windows
+        assert main(["simulate", "fractional", str(steps), "--out", str(out)]) == 0
+        header = out.read_text(encoding="utf-8").splitlines()[0]
+        manifest = json.loads(header.removeprefix("# manifest: "))
+        started, finished = int(manifest["started_at"]), int(manifest["finished_at"])
+        applies = [i for i, event in enumerate(events) if event == "apply"]
+        assert len(applies) == steps
+        assert events[started] == events[finished] == "now"
+        assert started < applies[0] and applies[-1] < finished
+
+    def test_io_failure_exit_3(self, tmp_path, monkeypatch, capsys):
+        # a missing --out directory is refused before the first step
+        events = []
+        self.record_steps(monkeypatch, events)
+        missing = tmp_path / "no" / "such" / "dir"
+        args = ["simulate", "fractional", "1000", "--out", str(missing / "x.csv")]
+        assert main(args) == 3
+        assert "apply" not in events
+        assert str(missing) in capsys.readouterr().err
+
+    def test_memory_does_not_grow_with_steps(self, tmp_path):
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                args = ["simulate", "fractional", str(steps), "--out", str(tmp_path / "m.csv")]
+                assert main(args) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # the rows stream out chunk by chunk, so four times the steps is not four times the memory
+        assert peak(400_000) < 1.5 * peak(100_000)
 
 
 class TestHopfCheck:
@@ -328,6 +387,45 @@ class TestGoldenPayloads:
         assert self.digest(out) == (
             "2e1dd61043fc8c5548ea464fbf4e5f912b36ffc7d918d1c8640cae5eed5551b1"
         )
+
+
+# simulate --seed 3 digests, scrubbed as in TestGoldenPayloads, at the chunk edges
+CHUNK_EDGE_STEPS = (1, 65_535, 65_536, 65_537, 131_073)
+CHUNK_EDGE_DIGESTS = {
+    "fractional": (
+        "89f4e22557f39241f5328a3235fd189ecde0da67a8b5dc989266cf8383e82e64",
+        "ab9b0a9140e6df756f778fb9ad1cd86fc23f41c305826cd0eeb94865bb584f92",
+        "0ecea7814354a869a5a761bb9578c7d8d2871668656c8551a63c3f522b8a4b2e",
+        "7902fa7729e947b469a8a773a834a2f243b529cbb81a88a5820cda1afe764de0",
+        "adef7d246d391c479163279c4487ff6bc8d85eeb35e53082f3eba307ee26d56d",
+    ),
+    "contraction:a=0.5": (
+        "6ccf5f0f07923a01f57627d697838494f0b78511f3dc1f1b4114948d7a7ecbc4",
+        "02586edcbf4a3255dfdda56a2de6430787b32ee6e94b774cd65f35b7a86fd0bd",
+        "e6840fb836b35d40ab80b104a44dbbf6343967928ade1549ffe9b85f874947d5",
+        "0bf5871620fc2945932178bf32f9c969125d06f3d4963429c846ba14fe3abadb",
+        "114eb816ec04f8fc89549f37af1a0ff82cb4606e9ed8afc3353404ffa30baad4",
+    ),
+}
+
+
+class TestSimulateChunkEdges:
+    """``simulate`` payloads at the edges of its 65,536-step chunks, pinned like
+    :class:`TestGoldenPayloads`: a chunk edge that drops, repeats or reorders a
+    row changes the digest."""
+
+    @pytest.mark.parametrize(
+        "map_name, steps, digest",
+        [
+            pytest.param(m, n, h, id=f"{m}-{n}")
+            for m, hs in CHUNK_EDGE_DIGESTS.items()
+            for n, h in zip(CHUNK_EDGE_STEPS, hs, strict=True)
+        ],
+    )
+    def test_simulate_payload(self, tmp_path, map_name, steps, digest):
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", map_name, str(steps), "--seed", "3", "--out", str(out)]) == 0
+        assert TestGoldenPayloads.digest(out) == digest
 
 
 class TestDiagnose:

@@ -29,7 +29,7 @@ from stochrec.measure_solution import (
 )
 from stochrec.path_space import shift_path
 from stochrec.random_measure import CylinderSet, distributions_equal, integrate
-from stochrec.recurrence import NoiseModel, contraction_map, fractional_map, iterate_forward
+from stochrec.recurrence import NoiseModel, advance, contraction_map, fractional_map
 from stochrec.seeds import draw_normal, draw_u64, draw_unit, substream
 
 
@@ -218,8 +218,7 @@ class TestTsirelsonStatistic:
         for r in range(cfg.sample_size):
             noise = NoiseModel(seed=int(draw_u64(noise_stream, r))).window(lo + 1, n - lo)
             x0 = float(draw_unit(int(draw_u64(init_stream, r)), 0))
-            path = iterate_forward(x0, noise, update_map)
-            assert samples[r] == path.coordinate(n)
+            assert samples[r] == advance(update_map.apply, x0, noise.values.tolist())
 
 
 class TestConditionalCharStatistic:

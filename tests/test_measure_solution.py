@@ -39,9 +39,9 @@ from stochrec.random_measure import (
 from stochrec.recurrence import (
     NoiseModel,
     UpdateMap,
+    advance,
     contraction_map,
     fractional_map,
-    iterate_forward,
 )
 from stochrec.seeds import draw_u64, draw_unit, substream
 
@@ -248,8 +248,10 @@ class TestConditionalMeasure:
         mu = conditional_measure(builder, noise)
         for j in range(16):
             seed_j = int(draw_u64(builder.init_seed_stream, j))
-            path = iterate_forward(float(draw_unit(seed_j, 0)), noise, builder.update_map)
-            assert np.array_equal(path.values, mu.values[j])
+            path = np.empty(len(noise))
+            x0 = float(draw_unit(seed_j, 0))
+            advance(builder.update_map.apply, x0, noise.values.tolist(), out=path)
+            assert np.array_equal([x0, *path], mu.values[j])
 
     def test_marginal_uniform_for_fixed_noise_path(self):
         # one frozen noise path, many initializer draws: coordinate 5 is

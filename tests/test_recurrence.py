@@ -12,7 +12,6 @@ from stochrec.recurrence import (
     advance,
     contraction_map,
     fractional_map,
-    iterate_forward,
     update_map_from_name,
 )
 from stochrec.seeds import counter_range, draw_normal, draw_u64, draw_unit, substream
@@ -127,28 +126,36 @@ class TestMapParsing:
 
 
 class TestIteration:
+    """One path on Python floats: ``advance`` with the noise as a list."""
+
     def test_forward_fractional(self):
-        noise = Window(offset=1, values=(0.5, 0.9))
-        path = iterate_forward(0.25, noise, fractional_map())
-        assert path.offset == 0
-        assert path.values == pytest.approx((0.25, 0.75, 0.65), abs=1e-12)
+        path = np.empty(2)
+        x = advance(fractional_map().apply, 0.25, [0.5, 0.9], out=path)
+        assert path == pytest.approx((0.75, 0.65), abs=1e-12)
+        assert x == path[-1]
 
     def test_forward_contraction(self):
-        noise = Window(offset=1, values=(1.0, 1.0))
-        path = iterate_forward(1.0, noise, contraction_map(0.5))
-        assert path.values == pytest.approx((1.0, 1.5, 1.75))
+        path = np.empty(2)
+        advance(contraction_map(0.5).apply, 1.0, [1.0, 1.0], out=path)
+        assert path == pytest.approx((1.5, 1.75))
 
     def test_forward_consumes_each_noise_value_once(self):
         noise = NoiseModel(seed=5).window(1, 9)
-        path = iterate_forward(0.0, noise, fractional_map())
-        assert len(path) == len(noise) + 1
-        assert path.values[0] == 0.0
+        seen = []
+
+        def step(x, xi):
+            seen.append(xi)
+            return fractional_map().apply(x, xi)
+
+        path = np.full(len(noise), np.nan)
+        advance(step, 0.0, noise.values.tolist(), out=path)
+        assert seen == noise.values.tolist()
+        assert np.isfinite(path).all()
 
     def test_single_step_is_apply(self):
         fm = fractional_map()
-        noise = Window(offset=4, values=(0.3,))
-        path = iterate_forward(0.9, noise, fm)
-        assert path.values.tolist() == [0.9, float(fm.apply(0.9, 0.3))]
+        x = advance(fm.apply, 0.9, [0.3])
+        assert type(x) is float and x == fm.apply(0.9, 0.3)
 
 
 MAPS = {
@@ -170,7 +177,7 @@ def per_step_reference(update_map, x0, noise):
     return trajectory
 
 
-class TestIterateForward:
+class TestScalarRoute:
     @given(
         seed=st.integers(0, 2**64 - 1),
         offset=st.integers(-(2**63), 2**63),
@@ -178,18 +185,18 @@ class TestIterateForward:
         map_name=st.sampled_from(sorted(MAPS)),
     )
     def test_matches_array_branch_loop_bit_for_bit(self, seed, offset, length, map_name):
-        # iterate_forward steps Python floats through the scalar branch; a
-        # 1-element array per step takes the array branch, bit for bit alike
+        # advance steps Python floats through the scalar branch; a 1-element
+        # array per step takes the array branch, bit for bit alike
         update_map = MAPS[map_name]
         noise = NoiseModel(seed=seed).window(offset, length)
-        x = float(draw_unit(substream(seed, "start"), 0))
-        expected = [x]
+        start = x = float(draw_unit(substream(seed, "start"), 0))
+        expected = []
         for xi in noise.values:
             x = update_map.apply(np.array([x]), xi)[0]
             expected.append(x)
-        path = iterate_forward(expected[0], noise, update_map)
-        assert path.offset == offset - 1
-        assert path.values.view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
+        path = np.empty(length)
+        advance(update_map.apply, start, noise.values.tolist(), out=path)
+        assert path.view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
 
 
 class TestAdvance:
