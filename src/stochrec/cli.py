@@ -16,6 +16,7 @@ import os
 import sys
 import tempfile
 from datetime import datetime, timezone
+from itertools import islice
 
 import numpy as np
 
@@ -49,7 +50,8 @@ from .seeds import PRNG_NAME, draw_u64, draw_unit, substream
 HOPF_TOLERANCE = 1e-9
 
 _U64 = 0xFFFFFFFFFFFFFFFF
-_CHUNK = 2**16  # simulate steps per noise window and per batch of rows
+_CHUNK = 2**16  # simulate steps per noise window
+_ROWS = 2**10  # simulate rows joined per write: each write on the scratch file resets its codec
 
 
 def _utc_now() -> str:
@@ -117,7 +119,8 @@ def cmd_simulate(args) -> int:
             x = advance(update_map.apply, x, xis, out=states[:n])
             # Python floats repr as the shortest round-trip decimal
             path = zip(range(first, first + n), states[:n].tolist(), xis)
-            rows.writelines(f"{i},{state!r},{xi!r}\n" for i, state, xi in path)
+            for _ in range(0, n, _ROWS):
+                rows.write("".join([f"{i},{s!r},{xi!r}\n" for i, s, xi in islice(path, _ROWS)]))
         manifest = _finish_manifest(
             "simulate", args, {"map": args.map_name, "steps": args.steps}, started
         )

@@ -189,25 +189,20 @@ def _probe_integral(columns, freqs) -> complex:
     """The uniform average of ``exp(i sum_k freqs[k] * columns[k])`` over the rows.
 
     Each row's phase is a left fold from ``+0.0`` over the columns in order,
-    as numpy's row reduction ``(block * freqs).sum(axis=1)`` sums rows
-    shorter than 8, so both give the same bits, signed zeros included; each
-    term is a contiguous column of a column-major block.  ``cos`` and ``sin``
-    fill the real and imaginary views of one complex buffer, which is
-    ``exp(1j * x)`` bit for bit for every finite ``x`` but ``-0.0`` (the fold
-    never yields it), and the ``1 / P`` scaling runs in place.  The calling
-    thread allocates all a probe side holds, one complex buffer and two real
-    arrays (phases and the current term), and each part writes its rows of
-    them: allocating in a worker grows that thread's own malloc arena, and
-    more temporaries would let each probe on a large ensemble grow the heap
-    past glibc's trim threshold and fault in fresh pages.
+    the bits of numpy's ``(block * freqs).sum(axis=1)`` on rows shorter than
+    8, signed zeros included.  ``cos`` and ``sin`` fill the real and
+    imaginary views of one complex buffer, ``exp(1j * x)`` bit for bit for
+    every finite ``x`` but ``-0.0`` (which the fold never yields), scaled by
+    ``1 / P`` in place.  A probe side holds that buffer and the phases, both
+    allocated by the calling thread, not in a worker's own malloc arena; each
+    fold term is staged in the first float64 slots of its part's buffer rows.
 
-    Every step is elementwise, so the rows are cut into parts of at least
-    ``_PART_ROWS``, at most one per CPU the process may run on; the calling
-    thread fills part 0 and one thread each fills the others.  The sum runs
-    once over the whole buffer, so the cut changes no bit of the result.
+    The rows are cut into parts of at least ``_PART_ROWS``, at most one per
+    CPU the process may run on, filled by the calling thread and one thread
+    each; the sum runs once over the whole buffer, so the cut changes no bit.
     """
     count = len(columns[0])
-    values, phases, terms = np.empty(count, complex), np.zeros(count), np.empty(count)
+    values, phases = np.empty(count, complex), np.zeros(count)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     parts = max(1, min(cpus, count // _PART_ROWS))
     errors = []
@@ -215,7 +210,8 @@ def _probe_integral(columns, freqs) -> complex:
     def fill(part):
         try:
             rows = slice(count * part // parts, count * (part + 1) // parts)
-            folded, term, out = phases[rows], terms[rows], values[rows]
+            folded, out = phases[rows], values[rows]
+            term = out.view(float)[: len(folded)]  # contiguous, and cos and sin overwrite it
             for column, freq in zip(columns, freqs):
                 folded += np.multiply(column[rows], freq, out=term)
             np.cos(folded, out=out.real)

@@ -41,16 +41,17 @@ class UpdateMap:
 
 
 def _frac(x):
-    # fractional part as x - floor(x); maps negatives into [0, 1).  For
-    # inputs a hair below an integer the subtraction can round to exactly
-    # 1.0, which is the same point on the circle as 0.0.  A finite float
-    # stays off numpy; math.floor returns an int, so -0.0 - 0 keeps its
-    # sign, and the guard 0.0 < out < 1.0 sends -0.0 and 1.0 to the array
-    # branch's +0.0.  Other scalars give numpy scalars, not 0-d arrays.
+    # x - floor(x), in [0, 1) for negatives too; just below an integer it can
+    # round to 1.0, the same circle point as 0.0.  A finite float stays off
+    # numpy (math.floor gives an int, so -0.0 - 0 keeps its sign; the guard
+    # sends -0.0 and 1.0 to +0.0, as the array branch does), other scalars
+    # give numpy scalars, and an array is subtracted into its fresh floor, so
+    # a call holds its input and one result, not a third array of that size.
     if isinstance(x, float) and math.isfinite(x):
         out = x - math.floor(x)
         return out if 0.0 < out < 1.0 else 0.0
-    out = np.asarray(x - np.floor(x))  # a fresh array, so zeroed in place
+    out = np.asarray(np.floor(x))
+    np.subtract(x, out, out=out)
     out[out >= 1.0] = 0.0
     return out[()]
 

@@ -389,11 +389,15 @@ class TestGoldenPayloads:
         )
 
 
-# simulate --seed 3 digests, scrubbed as in TestGoldenPayloads, at the chunk edges
-CHUNK_EDGE_STEPS = (1, 65_535, 65_536, 65_537, 131_073)
+# simulate --seed 3 digests, scrubbed as in TestGoldenPayloads, at the edges
+# of its 1,024-row writes and of its 65,536-step chunks
+CHUNK_EDGE_STEPS = (1, 1_023, 1_024, 1_025, 65_535, 65_536, 65_537, 131_073)
 CHUNK_EDGE_DIGESTS = {
     "fractional": (
         "89f4e22557f39241f5328a3235fd189ecde0da67a8b5dc989266cf8383e82e64",
+        "6402ef709f336f51b78593fed2f574b802e6cb423f58112b2158f20891221778",
+        "e3515996a8020ffe0aa4fbc134bae24bb72430806422a259fee2f347e75bca1d",
+        "cafdc7b29840208ebf7b92b14b6feb916dc2e504d3c75b47c005459df71d1da5",
         "ab9b0a9140e6df756f778fb9ad1cd86fc23f41c305826cd0eeb94865bb584f92",
         "0ecea7814354a869a5a761bb9578c7d8d2871668656c8551a63c3f522b8a4b2e",
         "7902fa7729e947b469a8a773a834a2f243b529cbb81a88a5820cda1afe764de0",
@@ -401,6 +405,9 @@ CHUNK_EDGE_DIGESTS = {
     ),
     "contraction:a=0.5": (
         "6ccf5f0f07923a01f57627d697838494f0b78511f3dc1f1b4114948d7a7ecbc4",
+        "a9a039aa0753f196e6bce99b4f34eec72e45affd3a02e56659b879f586217d32",
+        "1f8e0f80fa972f23233287007a04b238662d6eb2cfb562da1bbcc28a82820b4c",
+        "11a8b92ac253b89f504226bc518d393a09a8638877b417d4cb545e5fc8a5a237",
         "02586edcbf4a3255dfdda56a2de6430787b32ee6e94b774cd65f35b7a86fd0bd",
         "e6840fb836b35d40ab80b104a44dbbf6343967928ade1549ffe9b85f874947d5",
         "0bf5871620fc2945932178bf32f9c969125d06f3d4963429c846ba14fe3abadb",
@@ -410,9 +417,9 @@ CHUNK_EDGE_DIGESTS = {
 
 
 class TestSimulateChunkEdges:
-    """``simulate`` payloads at the edges of its 65,536-step chunks, pinned like
-    :class:`TestGoldenPayloads`: a chunk edge that drops, repeats or reorders a
-    row changes the digest."""
+    """``simulate`` payloads at the edges of its 1,024-row writes and its
+    65,536-step chunks, pinned like :class:`TestGoldenPayloads`: an edge that
+    drops, repeats or reorders a row changes the digest."""
 
     @pytest.mark.parametrize(
         "map_name, steps, digest",

@@ -4,6 +4,7 @@ import math
 import os
 import re
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -739,6 +740,79 @@ class TestProbeSplit:
             residual_reports(mu, noise, specs, fractional_map())
         assert len(started) == 2
         assert all(not thread.is_alive() for thread in started)
+
+
+def three_buffer_integral(columns, freqs):
+    """The probe kernel as it stood with a separate term array, in one part."""
+    count = len(columns[0])
+    values, phases, terms = np.empty(count, complex), np.zeros(count), np.empty(count)
+    for column, freq in zip(columns, freqs):
+        phases += np.multiply(column, freq, out=terms)
+    np.cos(phases, out=values.real)
+    np.sin(phases, out=values.imag)
+    np.multiply(1.0 / count, values, out=values)
+    return complex(values.sum())
+
+
+class TestOneBufferProbe:
+    """Staging each fold term in the complex buffer, which cos and sin then
+    overwrite, gives the bits of the kernel with a separate term array."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.integers(1, 3000),
+        freqs=st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-3.0, 3.0)),
+            min_size=1,
+            max_size=5,
+        ),
+        scale=st.sampled_from([1.0, 1e-3, 12.0, 1e3]),
+        layout=st.sampled_from(["C", "F"]),
+        seed=st.integers(0, 2**64 - 1),
+        parts=st.integers(1, 4),
+    )
+    def test_equals_three_buffer_kernel(self, rows, freqs, scale, layout, seed, parts):
+        # layout F gives contiguous columns, as a measure's block does; C strided ones
+        flat = draw_unit(seed, np.arange(rows * len(freqs)))
+        block = np.asarray(scale * (2.0 * flat - 1.0).reshape(rows, len(freqs)), order=layout)
+        columns = tuple(block.T)
+        with pytest.MonkeyPatch.context() as mp:
+            started = cut_probes(mp, parts, max(1, rows // parts))
+            got = measure_solution._probe_integral(columns, tuple(freqs))
+        assert bits(got) == bits(three_buffer_integral(columns, freqs))
+        assert len(started) == min(parts, rows) - 1
+
+
+class TestHopfCheckMemory:
+    """Bytes a Hopf check holds above its ensemble, traced by tracemalloc so
+    that the figure does not depend on the allocator.  A map application holds
+    its input and one result, and a probe side one complex buffer and one
+    phase array: about 25 and 24 bytes per particle, where one more
+    particle-sized float64 array in either reads 32."""
+
+    PARTICLES = 100_000
+    BYTES_PER_PARTICLE = 28
+
+    def test_build_and_probes_transient(self):
+        window = (0, 15)
+        builder = make_builder(particles=self.PARTICLES, window=window)
+        builder.initializers  # drawn beforehand: the build's own transient is measured
+        noise = make_noise(window=window)
+        specs = char_spec_grid(window) + random_char_specs(window, 32, seed=1)
+        assert len(specs) == 77  # hopf-check's default probes
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            mu = conditional_measure(builder, noise)
+            build = tracemalloc.get_traced_memory()[1] - start - mu.values.nbytes
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            residual_reports(mu, noise, specs, builder.update_map)
+            probes = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert build <= self.BYTES_PER_PARTICLE * self.PARTICLES
+        assert probes <= self.BYTES_PER_PARTICLE * self.PARTICLES
 
 
 class TestLayout:

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats as sps
 
+from stochrec import recurrence
 from stochrec.path_space import Window
 from stochrec.random_measure import ks_one_sample_threshold
 from stochrec.recurrence import (
@@ -95,6 +96,68 @@ class TestFractionalScalarBranch:
         assert float_bits(fm.apply(-0.0, -0.0)) == 0
         assert float_bits(fm.apply(-1e-17, 0.0)) == 0
         assert type(fm.apply(0.25, 0.5)) is float
+
+
+def two_temporary_frac(x):
+    """The array branch as it stood before it subtracted into its floor array."""
+    out = np.asarray(x - np.floor(x))
+    out[out >= 1.0] = 0.0
+    return out[()]
+
+
+def typed_bits(value):
+    """dtype, shape and the integer view of the bits, so -0.0 and +0.0 differ."""
+    value = np.asarray(value)
+    return value.dtype, value.shape, value.view(f"i{value.itemsize}").tolist()
+
+
+@st.composite
+def frac_inputs(draw):
+    """Float64 states with negatives, magnitudes up to 1e300, signed zeros and
+    the float just below an integer, with a bulk long enough for numpy's
+    vector loops; or float32, int64, 0-d and scalar inputs that reach the
+    array branch."""
+    near_integer = st.integers(-(2**60), 2**60).map(
+        lambda k: float(np.nextafter(float(k), -math.inf))
+    )
+    edge = st.one_of(st.floats(-1e300, 1e300), st.sampled_from([0.0, -0.0]), near_integer)
+    listed = draw(st.lists(edge, min_size=1, max_size=40))
+    bulk = draw(st.integers(0, 2000))
+    scale = draw(st.sampled_from([1.0, 12.0, 1e6, 1e300]))
+    drawn = scale * (2.0 * draw_unit(draw(st.integers(0, 2**64 - 1)), np.arange(bulk)) - 1.0)
+    values = np.concatenate([np.asarray(listed), drawn, np.nextafter(np.rint(drawn), -math.inf)])
+    kind = draw(st.sampled_from(["float64", "float32", "int64", "0-d", "scalar"]))
+    if kind == "float64":
+        return values
+    if kind == "0-d":
+        return np.asarray(values[0])
+    singles = st.floats(width=32, allow_infinity=False, allow_nan=False)
+    if kind == "float32":
+        return np.array(draw(st.lists(singles, min_size=1, max_size=40)), np.float32)
+    if kind == "int64":
+        return np.array(draw(st.lists(st.integers(-(2**62), 2**62), min_size=1)), np.int64)
+    # np.float64 is a float, so it takes the scalar branch; these do not
+    return draw(st.one_of(singles.map(np.float32), st.integers(-(2**62), 2**62)))
+
+
+class TestFractionalArrayBranch:
+    """The array branch subtracts into its own floor array, with the bits of
+    ``x - np.floor(x)`` and values ``>= 1.0`` set to ``+0.0``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=frac_inputs())
+    @example(x=np.array([-0.0, 0.0, -1e-17, np.nextafter(1.0, 0.0), -(2.0**60), 1e300]))
+    def test_equals_two_temporary_form_bit_for_bit(self, x):
+        got = recurrence._frac(x)
+        want = two_temporary_frac(x)
+        assert type(got) is type(want)
+        assert typed_bits(got) == typed_bits(want)
+
+    def test_input_is_left_as_it_was(self):
+        x = np.array([-0.25, 1.5, np.nextafter(-3.0, -math.inf)])
+        before = x.copy()
+        recurrence._frac(x)
+        assert typed_bits(x) == typed_bits(before)
 
 
 class TestContractionMap:
