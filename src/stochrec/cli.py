@@ -29,8 +29,8 @@ from .diagnostics import (
     default_cylinder_family,
     rotation_invariance_demo,
     stationarity_suite,
+    tsirelson_report,
     tsirelson_samples,
-    tsirelson_statistic,
 )
 from .measure_solution import (
     MeasureBuilder,
@@ -198,16 +198,16 @@ def _builder(args) -> MeasureBuilder:
 def _diagnose_tsirelson(args) -> list[StatReport]:
     config = _config(args)
     update_map = update_map_from_name(args.map)
+    started = _utc_now()
+    samples = tsirelson_samples(config, args.index, update_map=update_map)
     if args.raw_out:
-        started = _utc_now()
-        samples = tsirelson_samples(config, args.index, update_map=update_map)
         manifest = _finish_manifest(
             "diagnose-raw", args, {"suite": "tsirelson", "index": args.index}, started
         )
         rows = (f"{r},{float(value)!r}\n" for r, value in enumerate(samples))
         _write_csv(args.raw_out, manifest, "replica,x", rows)
     return [
-        tsirelson_statistic(config, args.index, update_map=update_map),
+        tsirelson_report(config, samples),
         conditional_char_statistic(config, args.index, update_map=update_map),
     ]
 

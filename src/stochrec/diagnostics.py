@@ -3,7 +3,7 @@
 * the circle-map statistic: the mean of ``exp(2*pi*i*x_n)`` vanishes for the
   fractional map, both unconditionally and conditionally on the noise, while
   a contracting map drives the conditional version to modulus one,
-* stationarity testing of conditional-measure samplers under translation,
+* stationarity testing of conditional-measure streams under translation,
 * the exact rotation flow in the plane and the invariance of the standard
   Gaussian mass under it,
 * a jointly stationary Gaussian pair whose conditional law is known in
@@ -15,10 +15,12 @@ the KS-based checks use the asymptotic critical value at the configured
 level.
 """
 
+import collections
+import itertools
 import math
 import operator
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -28,7 +30,6 @@ from .measure_solution import MeasureBuilder, conditional_measure, conditional_m
 from .path_space import shift_path
 from .random_measure import (
     CylinderSet,
-    MeasureSampler,
     ParticleMeasure,
     StatReport,
     distributions_equal,
@@ -41,6 +42,7 @@ __all__ = [
     "RotationState",
     "DiagnosticsConfig",
     "tsirelson_statistic",
+    "tsirelson_report",
     "conditional_char_statistic",
     "stationarity_suite",
     "default_cylinder_family",
@@ -174,8 +176,12 @@ def tsirelson_statistic(
     below ``5/sqrt(sample_size)``; for other maps the report is
     informational.
     """
-    x = tsirelson_samples(config, n, update_map=update_map)
-    return _five_sigma("tsirelson", _circle_modulus(x), config.sample_size, config.seed)
+    return tsirelson_report(config, tsirelson_samples(config, n, update_map=update_map))
+
+
+def tsirelson_report(config: DiagnosticsConfig, samples: np.ndarray) -> StatReport:
+    """The :func:`tsirelson_statistic` report of samples drawn by :func:`tsirelson_samples`."""
+    return _five_sigma("tsirelson", _circle_modulus(samples), config.sample_size, config.seed)
 
 
 def conditional_char_statistic(
@@ -254,10 +260,10 @@ def default_cylinder_family(
     return [d for d in family if d.last_index <= last]
 
 
-def _shift_report(sampler_a, sampler_b, t, deltas, config, seed, prefix) -> StatReport:
-    """Report ``{prefix}:shift={t}``: ``sampler_a`` against ``sampler_b`` translated by ``t``."""
+def _shift_report(measures_a, measures_b, t, deltas, config, seed, prefix) -> StatReport:
+    """Report ``{prefix}:shift={t}``: ``measures_a`` against ``measures_b`` translated by ``t``."""
     return distributions_equal(
-        sampler_a, lambda r: shift_path(sampler_b(r), t), deltas, replicas=config.sample_size,
+        measures_a, (shift_path(mu, t) for mu in measures_b), deltas, replicas=config.sample_size,
         alpha=config.alpha, seed=seed, name=f"{prefix}:shift={t}",
     )
 
@@ -268,7 +274,7 @@ def stationarity_suite(
     deltas: Sequence[CylinderSet],
     config: DiagnosticsConfig,
 ) -> list[StatReport]:
-    """Distributional equality of the measure sampler and its translates.
+    """Distributional equality of the measure stream and its translates.
 
     For each nonzero shift ``t``, draws ``sample_size`` fresh-noise
     realizations of the conditional measure and, independently, of its
@@ -281,9 +287,9 @@ def stationarity_suite(
     reports = []
     for t in shifts:
         seeds = (substream(config.seed, f"stationarity-{side}:{t}") for side in "ab")
-        samplers = [conditional_measure_sampler(builder, s) for s in seeds]
+        streams = [conditional_measure_sampler(builder, s) for s in seeds]
         proj = substream(config.seed, f"stationarity-proj:{t}")
-        reports.append(_shift_report(*samplers, t, deltas, config, proj, "stationarity"))
+        reports.append(_shift_report(*streams, t, deltas, config, proj, "stationarity"))
     return reports
 
 
@@ -372,17 +378,20 @@ def conditional_law_demo(rho: float, a: float, config: DiagnosticsConfig) -> Sta
 _SLICE_VALUES = 2**16  # values per slice of the Gaussian-pair sampler's replicas (512 kB)
 
 
-def gaussian_pair_sampler(rho: float, a: float, config: DiagnosticsConfig) -> MeasureSampler:
-    """Sampler of conditional particle measures for the Gaussian pair.
+def gaussian_pair_sampler(
+    rho: float, a: float, config: DiagnosticsConfig
+) -> Iterator[ParticleMeasure]:
+    """Stream of conditional particle measures for the Gaussian pair.
 
-    Replica ``r`` freezes a fresh driver path and returns the ensemble of
+    Item ``r`` freezes a fresh driver path and is the ensemble of
     ``particle_count`` conditional trajectories of the dependent series on
-    the window.  The pair is jointly stationary, so this sampler and its
-    translates coincide in distribution.
+    the window.  The pair is jointly stationary, so this stream and its
+    translates coincide in distribution.  ``rho`` and ``a`` are checked at
+    the call, before anything is drawn.
 
-    Replicas are drawn in aligned slices of about ``2**16`` values and the
-    last slice is kept, so the order of access sets the cost.  Replica ``r``
-    (any index) is a read-only column-major view into its slice, a pure function of ``r``.
+    Items are drawn in aligned slices of about ``2**16`` values, one slice
+    at a time as the stream reaches it.  Item ``r`` is a read-only
+    column-major view into its slice, a pure function of ``r``.
     """
     sigma = _pair_sigma(rho, a)
     lo, hi = config.window
@@ -392,23 +401,39 @@ def gaussian_pair_sampler(rho: float, a: float, config: DiagnosticsConfig) -> Me
     eps_root = substream(config.seed, "pair-ensemble")
     # counters[l, p] = p * length + l, so that each replica's (L, P) block is C-ordered
     counters = np.arange(config.particle_count * length).reshape(-1, length).T.copy()
-    held = {}
 
-    def sample(replica: int) -> ParticleMeasure:
-        replica = operator.index(replica)
-        first = replica - replica % width
-        if first not in held:
-            held.clear()  # before the draw, so that one slice is live at a time
-            replicas = counter_range(first, width)
-            y = _stationary_gaussian_path(a, draw_u64(path_root, replicas), lo, hi)
-            eps = draw_normal(draw_u64(eps_root, replicas)[:, None, None], counters)
-            eps *= sigma
-            eps += (rho * y)[:, :, None]
-            eps.setflags(write=False)
-            held[first] = eps
-        return ParticleMeasure(lo, held[first][replica - first].T)
+    def draw(first: int) -> np.ndarray:
+        """Replicas ``first .. first + width - 1`` as one read-only ``(width, L, P)`` block."""
+        replicas = counter_range(first, width)
+        y = _stationary_gaussian_path(a, draw_u64(path_root, replicas), lo, hi)
+        eps = draw_normal(draw_u64(eps_root, replicas)[:, None, None], counters)
+        eps *= sigma
+        eps += (rho * y)[:, :, None]
+        eps.setflags(write=False)
+        return eps
 
-    return sample
+    # map and chain keep no finished slice, so a slice is freed once its last item is dropped
+    blocks = itertools.chain.from_iterable(map(draw, itertools.count(0, width)))
+    return map(lambda block: ParticleMeasure(lo, block.T), blocks)
+
+
+def _copies(stream: Iterator) -> tuple[Iterator, Iterator]:
+    """Two iterators over ``stream``'s items; an item is kept until both have read it.
+
+    ``itertools.tee`` keeps its items in blocks of 57, and a pair item pins its slice.
+    """
+    queues = collections.deque(), collections.deque()
+
+    def copy(mine, theirs):
+        while True:
+            while mine:
+                yield mine.popleft()
+            mine.extend(itertools.islice(stream, 1))  # binds no name that would pin the item
+            if not mine:
+                return
+            theirs.append(mine[0])
+
+    return copy(*queues), copy(*reversed(queues))
 
 
 def conditional_law_suite(rho: float, a: float, config: DiagnosticsConfig) -> list[StatReport]:
@@ -419,15 +444,15 @@ def conditional_law_suite(rho: float, a: float, config: DiagnosticsConfig) -> li
     the test needs many replicas, not large ensembles) against its
     translate by 1 on two rectangles sized for standard-normal values.
     Both rectangles are checked against the window and its shift before
-    anything is drawn.  Side b's replica ``r`` is side a's replica ``r``
-    translated, so the two samples of each KS test are not independent.
+    anything is drawn.  The two sides are copies of one stream, so side b's
+    item ``r`` is side a's item ``r`` translated and the two samples of each
+    KS test are not independent.
     """
     lo = config.window[0]
     deltas = [CylinderSet(lo + 1, ((-0.5, 0.5),)), CylinderSet(lo + 2, ((0.0, 1.5),))]
     _fit(config.window, deltas, [1])
     demo = conditional_law_demo(rho, a, config)
-    sampler = gaussian_pair_sampler(
-        rho, a, replace(config, particle_count=min(200, config.particle_count))
-    )
+    small = replace(config, particle_count=min(200, config.particle_count))
+    sides = _copies(gaussian_pair_sampler(rho, a, small))
     proj = substream(config.seed, "pair-shift-proj")
-    return [demo, _shift_report(sampler, sampler, 1, deltas, config, proj, "conditional_law")]
+    return [demo, _shift_report(*sides, 1, deltas, config, proj, "conditional_law")]

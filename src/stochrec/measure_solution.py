@@ -13,18 +13,20 @@ is one realization of the conditional law of the trajectory given the
 noise.
 """
 
+import itertools
 import math
 import operator
 import os
 import threading
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
 from .errors import CoverageError
 from .path_space import Window, _same_bits, shift_path
-from .random_measure import MeasureSampler, ParticleMeasure
+from .random_measure import ParticleMeasure
 from .recurrence import NoiseModel, UpdateMap, advance
 from .seeds import draw_u64, draw_unit, substream
 
@@ -144,20 +146,19 @@ def conditional_measure(builder: MeasureBuilder, noise: Window) -> ParticleMeasu
     return ParticleMeasure(lo, columns)
 
 
-def conditional_measure_sampler(builder: MeasureBuilder, noise_seed: int) -> MeasureSampler:
-    """Seeded sampler of measure realizations over fresh noise windows.
+def conditional_measure_sampler(
+    builder: MeasureBuilder, noise_seed: int
+) -> Iterator[ParticleMeasure]:
+    """Seeded stream of measure realizations over fresh noise windows.
 
-    Replica ``r`` freezes the noise window drawn from the ``r``-th child of
-    ``noise_seed`` and returns the builder's conditional measure for it.  The
+    Item ``r`` freezes the noise window drawn from the ``r``-th child of
+    ``noise_seed`` and is the builder's conditional measure for it.  The
     initializer ensemble is fixed by the builder, so each realization is a
     function of its noise alone.
     """
-
-    def sample(replica: int) -> ParticleMeasure:
+    for replica in itertools.count():
         noise = NoiseModel(int(draw_u64(noise_seed, replica))).driving(builder.window)
-        return conditional_measure(builder, noise)
-
-    return sample
+        yield conditional_measure(builder, noise)
 
 
 def hopf_lhs(mu: ParticleMeasure, spec: CharSpec) -> complex:

@@ -5,13 +5,13 @@ A measure is a :class:`~stochrec.path_space.Window` over its particle
 matrix, so it is indexed, sliced and translated as a window.  The module
 provides integration of bounded functions, probabilities of cylinder
 rectangles, and a statistical test for equality in distribution of two
-measure-valued samplers.
+streams of measure realizations.
 """
 
 import math
 import operator
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "ParticleMeasure",
     "CylinderSet",
     "StatReport",
-    "MeasureSampler",
     "integrate",
     "cylinder_prob",
     "distributions_equal",
@@ -31,10 +30,6 @@ __all__ = [
     "ks_two_sample_threshold",
     "ks_one_sample_threshold",
 ]
-
-#: A seeded generator of measure realizations: replica index -> measure.
-MeasureSampler = Callable[[int], "ParticleMeasure"]
-
 
 class ParticleMeasure(Window):
     """A probability measure carried by equally likely particles on one window.
@@ -155,16 +150,12 @@ def ks_one_sample_threshold(alpha: float, n: int) -> float:
     return ks_critical(alpha) / math.sqrt(n)
 
 
-def _delta_vector(mu: ParticleMeasure, deltas: Sequence[CylinderSet]) -> np.ndarray:
-    return np.asarray([cylinder_prob(mu, d) for d in deltas])
-
-
 _PROJECTION_SEED = 0x1D6A09E667F3BCC9
 
 
 def distributions_equal(
-    sampler_a: MeasureSampler,
-    sampler_b: MeasureSampler,
+    measures_a: Iterable[ParticleMeasure],
+    measures_b: Iterable[ParticleMeasure],
     deltas: Sequence[CylinderSet],
     replicas: int,
     alpha: float,
@@ -172,13 +163,13 @@ def distributions_equal(
     seed: int = _PROJECTION_SEED,
     name: str = "distributions_equal",
 ) -> StatReport:
-    """Test whether two measure samplers agree in distribution.
+    """Test whether two streams of measure realizations agree in distribution.
 
-    Draws ``replicas`` independent realizations from each sampler, replica
-    ``r`` of both before replica ``r + 1``, evaluates the vector of rectangle
-    probabilities ``(mu(delta_1), ..., mu(delta_n))`` for each, and runs a
-    two-sample Kolmogorov-Smirnov test on every coordinate and on one fixed
-    random linear combination of coordinates (coefficients drawn once from
+    Reads the first ``replicas`` realizations of each stream (a shorter one
+    is refused), evaluates the vector of rectangle probabilities
+    ``(mu(delta_1), ..., mu(delta_n))`` for each, and runs a two-sample
+    Kolmogorov-Smirnov test on every coordinate and on one fixed random
+    linear combination of coordinates (coefficients drawn once from
     ``seed``).  The statistic is the largest KS distance over those scalar
     projections; the threshold is the asymptotic critical value at level ``alpha``.
 
@@ -191,11 +182,13 @@ def distributions_equal(
         raise ValueError("deltas must be nonempty")
     threshold = ks_two_sample_threshold(alpha, replicas, replicas)
 
-    # replica r of both sides before r + 1: a shared slice-drawing sampler draws a slice once
     vec_a, vec_b = np.empty((2, replicas, len(deltas)))
-    for r in range(replicas):
-        vec_a[r] = _delta_vector(sampler_a(r), deltas)
-        vec_b[r] = _delta_vector(sampler_b(r), deltas)
+    r = -1
+    for r, mu_a, mu_b in zip(range(replicas), measures_a, measures_b):
+        vec_a[r] = [cylinder_prob(mu_a, d) for d in deltas]
+        vec_b[r] = [cylinder_prob(mu_b, d) for d in deltas]
+    if r + 1 < replicas:
+        raise ValueError(f"a measure stream ended after {r + 1} of {replicas} replicas")
 
     coeffs = 2.0 * draw_unit(substream(seed, "projection"), np.arange(len(deltas))) - 1.0
     proj_a = np.column_stack([vec_a, (vec_a * coeffs).sum(axis=1)])

@@ -500,6 +500,23 @@ class TestDiagnose:
         assert len(lines) == 1 + 500
         assert manifest["command"] == "diagnose-raw"
 
+    @pytest.mark.parametrize("raw", [False, True])
+    def test_tsirelson_draws_its_replicas_once(self, tmp_path, monkeypatch, raw):
+        # the five-sigma report and the raw rows read one array
+        passes = []
+        samples = diagnostics.tsirelson_samples
+
+        def counted(*args, **kwargs):
+            passes.append(args)
+            return samples(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "tsirelson_samples", counted)
+        monkeypatch.setattr(diagnostics, "tsirelson_samples", counted)
+        args = ["diagnose", "tsirelson", "--n", "500", "--particles", "200",
+                "--out", str(tmp_path / "ts.json")]
+        assert main(args + (["--raw-out", str(tmp_path / "raw.csv")] if raw else [])) == 0
+        assert len(passes) == 1
+
     def test_raw_output_rejected_elsewhere(self, tmp_path):
         code = main(
             ["diagnose", "rotation", "--n", "200", "--out", str(tmp_path / "r.json"),

@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+import weakref
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -474,9 +476,15 @@ class TestConditionalLawDemo:
         ],
         ids=["conditional_law_demo", "conditional_law_suite", "gaussian_pair_sampler"],
     )
-    def test_one_refusal_for_every_entry_point(self, entry, rho, a):
+    def test_one_refusal_for_every_entry_point(self, entry, rho, a, monkeypatch):
         # at (1.5, 0.5) and (0.5, 1.5) the sampling entry points used to die
-        # with "math domain error", and a = 1.0 was accepted
+        # with "math domain error", and a = 1.0 was accepted; each refuses at
+        # the call, before anything is drawn (the pair sampler returns no stream)
+        def no_draw(*args):
+            raise AssertionError("a value was drawn")
+
+        for name in ("draw_normal", "draw_u64"):
+            monkeypatch.setattr(diagnostics, name, no_draw)
         name, value = ("rho", rho) if not abs(rho) < 1.0 else ("a", a)
         with pytest.raises(ValueError) as info:
             entry(rho, a, config())
@@ -499,29 +507,26 @@ class TestConditionalLawDemo:
 class TestGaussianPairSampler:
     def test_pair_measure_is_stationary(self):
         cfg = config(sample_size=300, particle_count=120, window=(0, 9))
-        sampler = gaussian_pair_sampler(0.8, 0.5, cfg)
-
-        def shifted(r):
-            return shift_path(sampler(r), 1)
-
+        shifted = (shift_path(mu, 1) for mu in gaussian_pair_sampler(0.8, 0.5, cfg))
         deltas = [
             CylinderSet(start=1, intervals=((-0.5, 0.5),)),
             CylinderSet(start=2, intervals=((0.0, 1.5),)),
             CylinderSet(start=1, intervals=((-1.0, 0.0), (-1.0, 1.0))),
         ]
         report = distributions_equal(
-            sampler, shifted, deltas, replicas=cfg.sample_size, alpha=cfg.alpha
+            gaussian_pair_sampler(0.8, 0.5, cfg), shifted, deltas,
+            replicas=cfg.sample_size, alpha=cfg.alpha,
         )
         assert report.passed
 
     @settings(max_examples=50, deadline=None)
     @given(
         rho=open_unit, a=open_unit, seed=seeds, lo=st.integers(-20, 20),
-        steps=st.integers(1, 29), replica=st.integers(0, 2**20),
+        steps=st.integers(1, 29), replica=st.integers(0, 2000),
     )
     def test_replica_matches_per_counter_draws(self, rho, a, seed, lo, steps, replica):
         cfg = config(sample_size=100, particle_count=3, seed=seed, window=(lo, lo + steps))
-        got = gaussian_pair_sampler(rho, a, cfg)(replica).values
+        got = next(islice(gaussian_pair_sampler(rho, a, cfg), replica, None)).values
         y = reference_gaussian_path(
             a, int(draw_u64(substream(seed, "pair-path"), replica)), lo, lo + steps
         )
@@ -532,21 +537,22 @@ class TestGaussianPairSampler:
     @settings(max_examples=20, deadline=None)
     @given(
         rho=open_unit, a=open_unit, seed=seeds, lo=st.integers(-20, 20),
-        steps=st.integers(1, 11), per_slice=st.integers(1, 4), data=st.data(),
+        steps=st.integers(1, 11), per_slice=st.integers(1, 4),
     )
-    def test_replicas_across_slice_boundaries(self, rho, a, seed, lo, steps, per_slice, data):
-        # particle counts that fit 1-4 replicas in a slice; every replica of
-        # four slices around 0, read in shuffled order, and two read again
+    def test_replicas_across_slice_boundaries(self, rho, a, seed, lo, steps, per_slice):
+        # particle counts that fit 1-4 replicas in a slice; every item of the
+        # first three slices, and the same items from a second stream
         length = steps + 1
         particles = diagnostics._SLICE_VALUES // (per_slice * length)
         assert diagnostics._SLICE_VALUES // (particles * length) == per_slice
         cfg = config(sample_size=100, particle_count=particles, seed=seed, window=(lo, lo + steps))
-        order = data.draw(st.permutations(range(-per_slice - 1, 2 * per_slice + 1)))
-        sample = gaussian_pair_sampler(rho, a, cfg)
+        count = 3 * per_slice
+        first = list(islice(gaussian_pair_sampler(rho, a, cfg), count))
+        again = list(islice(gaussian_pair_sampler(rho, a, cfg), count))
         sigma = math.sqrt(1.0 - rho * rho)
-        for replica in [*order, *order[:2]]:
-            got = sample(replica)
+        for replica, (got, repeat) in enumerate(zip(first, again)):
             assert got.offset == lo and not got.values.flags.writeable
+            assert got == repeat
             y = reference_gaussian_path(
                 a, int(draw_u64(substream(seed, "pair-path"), replica)), lo, lo + steps
             )
@@ -561,8 +567,8 @@ class TestGaussianPairSampler:
         # with contiguous columns; neighbours in one slice share its block
         length = 10
         particles = diagnostics._SLICE_VALUES // (per_slice * length)
-        sample = gaussian_pair_sampler(0.8, 0.5, config(particle_count=particles, window=(0, 9)))
-        replicas = [sample(r).values for r in range(2 * per_slice)]
+        stream = gaussian_pair_sampler(0.8, 0.5, config(particle_count=particles, window=(0, 9)))
+        replicas = [mu.values for mu in islice(stream, 2 * per_slice)]
         for values in replicas:
             assert values.shape == (particles, length)
             assert values.flags.f_contiguous and not values.flags.writeable
@@ -573,16 +579,35 @@ class TestGaussianPairSampler:
             same_slice = (r + 1) % per_slice != 0
             assert (replicas[r].base is replicas[r + 1].base) == same_slice
 
+    def test_a_read_slice_is_released_before_the_next_draw(self, monkeypatch):
+        # the stream keeps no slice whose items have all been read and
+        # dropped, so it holds one slice while it draws the next
+        particles = diagnostics._SLICE_VALUES // (2 * 10)
+        stream = gaussian_pair_sampler(0.8, 0.5, config(particle_count=particles, window=(0, 9)))
+        first_slice = weakref.ref(next(stream).values.base)
+        next(stream)
+        live_at_draw = []
+        draw_normal = diagnostics.draw_normal
+
+        def watched(*args):
+            live_at_draw.append(first_slice() is not None)
+            return draw_normal(*args)
+
+        monkeypatch.setattr(diagnostics, "draw_normal", watched)
+        next(stream)  # the first item of the second slice
+        assert live_at_draw and not any(live_at_draw)
+        assert first_slice() is None
+
     def test_memory_independent_of_replica_count(self):
-        # one slice is held at a time, so ten times the replicas (and a whole
+        # one slice is live at a time, so ten times the replicas (and a whole
         # (R, P, L) block would be 48 MB at 3,000) take no more memory
         def peak(replicas):
             cfg = config(sample_size=replicas, particle_count=200, window=(0, 9))
-            sample = gaussian_pair_sampler(0.8, 0.5, cfg)
+            stream = gaussian_pair_sampler(0.8, 0.5, cfg)
             tracemalloc.start()
             try:
-                for r in range(replicas):
-                    sample(r)
+                for _ in islice(stream, replicas):
+                    pass
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -590,13 +615,41 @@ class TestGaussianPairSampler:
         assert peak(3000) < 1.2 * peak(300)
 
 
+class TestCopies:
+    def test_both_copies_read_every_item_in_any_order(self):
+        a, b = diagnostics._copies(iter(range(10)))
+        assert list(islice(b, 3)) == [0, 1, 2]
+        assert list(islice(a, 5)) == [0, 1, 2, 3, 4]
+        assert list(b) == list(range(3, 10))
+        assert list(a) == list(range(5, 10))
+
+    def test_an_item_is_released_once_both_copies_read_it(self):
+        # itertools.tee keeps items in blocks of 57, and each pair item pins its slice
+        class Item:
+            pass
+
+        refs = []
+
+        def items():
+            while True:
+                item = Item()
+                refs.append(weakref.ref(item))
+                yield item
+
+        a, b = diagnostics._copies(items())
+        for _ in range(100):
+            assert next(a) is next(b)
+        # only the stream's own last item is still referenced
+        assert [ref() is not None for ref in refs] == [False] * 99 + [True]
+
+
 def test_every_built_measure_is_column_major():
     # ParticleMeasure documents column-major storage; each construction keeps it
     mu = conditional_measure(
         MeasureBuilder(fractional_map(), 50, (0, 8), 3), NoiseModel(1).driving((0, 8))
     )
-    pair = gaussian_pair_sampler(0.8, 0.5, config(particle_count=50))
-    for measure in (mu, perturb_last_coordinate(mu, 4), pair(0), pair(-7)):
+    pair = islice(gaussian_pair_sampler(0.8, 0.5, config(particle_count=50)), 2)
+    for measure in (mu, perturb_last_coordinate(mu, 4), *pair):
         assert measure.values.shape == (50, 9) and measure.values.flags.f_contiguous
 
 

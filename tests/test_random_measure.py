@@ -1,10 +1,12 @@
 import cmath
+import itertools
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stochrec import random_measure
 from stochrec.errors import CoverageError
 from stochrec.measure_solution import perturb_last_coordinate
 from stochrec.path_space import Window, shift_path
@@ -297,55 +299,71 @@ class TestStatReport:
 
 class TestDistributionsEqual:
     @staticmethod
-    def constant_sampler(level: float):
-        mu = ParticleMeasure(0, np.full((4, 2), level))
-        return lambda r: mu
+    def constant_stream(level: float):
+        return itertools.repeat(ParticleMeasure(0, np.full((4, 2), level)))
 
     def test_identical_seeds_trivially_pass(self):
         rng_rows = np.random.default_rng(5).random((8, 2))
 
-        def sampler(r):
-            return ParticleMeasure(0, rng_rows + (r % 7) * 0.01)
+        def stream():
+            return (ParticleMeasure(0, rng_rows + (r % 7) * 0.01) for r in itertools.count())
 
         deltas = [CylinderSet(0, ((0.0, 0.5),)), CylinderSet(1, ((0.2, 0.7),))]
-        report = distributions_equal(sampler, sampler, deltas, 120, 0.01)
+        report = distributions_equal(stream(), stream(), deltas, 120, 0.01)
         assert report.statistic == 0.0
         assert report.passed
 
     def test_separated_point_masses_fail(self):
         deltas = [CylinderSet(0, ((0.0, 0.5),))]
         report = distributions_equal(
-            self.constant_sampler(0.0), self.constant_sampler(1.0), deltas, 150, 0.01
+            self.constant_stream(0.0), self.constant_stream(1.0), deltas, 150, 0.01
         )
         assert report.statistic == 1.0
         assert not report.passed
 
-    def test_replica_r_of_both_sides_before_r_plus_one(self):
-        # a slice-drawing sampler shared by both sides draws each slice once
-        # only in this order
-        calls = []
+    def test_takes_exactly_replicas_items_from_each_side(self):
+        # no realization past the last replica is built: the traced count of
+        # stationarity builds is 2 * replicas per shift
+        taken = {"a": 0, "b": 0}
 
-        def logged(side):
+        def counting(side):
             mu = ParticleMeasure(0, np.full((4, 2), 0.25))
-            return lambda r: calls.append((side, r)) or mu
+            for _ in itertools.count():
+                taken[side] += 1
+                yield mu
 
         deltas = [CylinderSet(0, ((0.0, 0.5),))]
-        distributions_equal(logged("a"), logged("b"), deltas, 120, 0.01)
-        assert calls == [(side, r) for r in range(120) for side in "ab"]
+        distributions_equal(counting("a"), counting("b"), deltas, 120, 0.01)
+        assert taken == {"a": 120, "b": 120}
+
+    @pytest.mark.parametrize("short_side", ["a", "b"])
+    @pytest.mark.parametrize("length", [0, 1, 149])
+    def test_short_stream_refused_before_any_ks(self, monkeypatch, short_side, length):
+        def no_ks(*args):
+            raise AssertionError("a KS statistic was computed")
+
+        monkeypatch.setattr(random_measure._sps, "ks_2samp", no_ks)
+        mu = ParticleMeasure(0, np.full((4, 2), 0.25))
+        streams = {"a": itertools.repeat(mu), "b": itertools.repeat(mu)}
+        streams[short_side] = itertools.repeat(mu, length)
+        deltas = [CylinderSet(0, ((0.0, 0.5),))]
+        with pytest.raises(ValueError, match=f"ended after {length} of 150 replicas"):
+            distributions_equal(streams["a"], streams["b"], deltas, 150, 0.01)
 
     def test_parameter_validation(self):
         deltas = [CylinderSet(0, ((0.0, 0.5),))]
-        s = self.constant_sampler(0.0)
+        a, b = self.constant_stream(0.0), self.constant_stream(0.0)
         with pytest.raises(ValueError):
-            distributions_equal(s, s, deltas, 99, 0.01)
+            distributions_equal(a, b, deltas, 99, 0.01)
         with pytest.raises(ValueError):
-            distributions_equal(s, s, [], 150, 0.01)
+            distributions_equal(a, b, [], 150, 0.01)
 
-        def never_drawn(r):
+        def never_drawn():
             raise AssertionError("a replica was drawn before alpha was checked")
+            yield
 
         with pytest.raises(ValueError, match="alpha"):
-            distributions_equal(never_drawn, never_drawn, deltas, 150, 1.5)
+            distributions_equal(never_drawn(), never_drawn(), deltas, 150, 1.5)
 
 
 class TestKsThresholds:
