@@ -15,7 +15,6 @@ the KS-based checks use the asymptotic critical value at the configured
 level.
 """
 
-import collections
 import itertools
 import math
 import operator
@@ -260,10 +259,12 @@ def default_cylinder_family(
     return [d for d in family if d.last_index <= last]
 
 
-def _shift_report(measures_a, measures_b, t, deltas, config, seed, prefix) -> StatReport:
-    """Report ``{prefix}:shift={t}``: ``measures_a`` against ``measures_b`` translated by ``t``."""
+def _shift_report(pairs, t, deltas, config, seed, prefix) -> StatReport:
+    """Report ``{prefix}:shift={t}``: each pair's side a against its side b shifted by ``t``."""
+    # starmap holds no pair between calls, so distributions_equal frees each before the next
+    shifted = itertools.starmap(lambda mu_a, mu_b: (mu_a, shift_path(mu_b, t)), pairs)
     return distributions_equal(
-        measures_a, (shift_path(mu, t) for mu in measures_b), deltas, replicas=config.sample_size,
+        shifted, deltas, replicas=config.sample_size,
         alpha=config.alpha, seed=seed, name=f"{prefix}:shift={t}",
     )
 
@@ -289,7 +290,7 @@ def stationarity_suite(
         seeds = (substream(config.seed, f"stationarity-{side}:{t}") for side in "ab")
         streams = [conditional_measure_sampler(builder, s) for s in seeds]
         proj = substream(config.seed, f"stationarity-proj:{t}")
-        reports.append(_shift_report(*streams, t, deltas, config, proj, "stationarity"))
+        reports.append(_shift_report(zip(*streams), t, deltas, config, proj, "stationarity"))
     return reports
 
 
@@ -417,25 +418,6 @@ def gaussian_pair_sampler(
     return map(lambda block: ParticleMeasure(lo, block.T), blocks)
 
 
-def _copies(stream: Iterator) -> tuple[Iterator, Iterator]:
-    """Two iterators over ``stream``'s items; an item is kept until both have read it.
-
-    ``itertools.tee`` keeps its items in blocks of 57, and a pair item pins its slice.
-    """
-    queues = collections.deque(), collections.deque()
-
-    def copy(mine, theirs):
-        while True:
-            while mine:
-                yield mine.popleft()
-            mine.extend(itertools.islice(stream, 1))  # binds no name that would pin the item
-            if not mine:
-                return
-            theirs.append(mine[0])
-
-    return copy(*queues), copy(*reversed(queues))
-
-
 def conditional_law_suite(rho: float, a: float, config: DiagnosticsConfig) -> list[StatReport]:
     """The Gaussian pair's closed-form oracle and its shift test.
 
@@ -444,15 +426,15 @@ def conditional_law_suite(rho: float, a: float, config: DiagnosticsConfig) -> li
     the test needs many replicas, not large ensembles) against its
     translate by 1 on two rectangles sized for standard-normal values.
     Both rectangles are checked against the window and its shift before
-    anything is drawn.  The two sides are copies of one stream, so side b's
-    item ``r`` is side a's item ``r`` translated and the two samples of each
-    KS test are not independent.
+    anything is drawn.  Each pair is one item of the stream twice, so side
+    b's item ``r`` is side a's item ``r`` translated and the two samples of
+    each KS test are not independent.
     """
     lo = config.window[0]
     deltas = [CylinderSet(lo + 1, ((-0.5, 0.5),)), CylinderSet(lo + 2, ((0.0, 1.5),))]
     _fit(config.window, deltas, [1])
     demo = conditional_law_demo(rho, a, config)
     small = replace(config, particle_count=min(200, config.particle_count))
-    sides = _copies(gaussian_pair_sampler(rho, a, small))
+    pairs = map(lambda mu: (mu, mu), gaussian_pair_sampler(rho, a, small))
     proj = substream(config.seed, "pair-shift-proj")
-    return [demo, _shift_report(*sides, 1, deltas, config, proj, "conditional_law")]
+    return [demo, _shift_report(pairs, 1, deltas, config, proj, "conditional_law")]

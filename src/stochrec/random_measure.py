@@ -4,8 +4,8 @@ uniform particle ensemble over a common index window.
 A measure is a :class:`~stochrec.path_space.Window` over its particle
 matrix, so it is indexed, sliced and translated as a window.  The module
 provides integration of bounded functions, probabilities of cylinder
-rectangles, and a statistical test for equality in distribution of two
-streams of measure realizations.
+rectangles, and a statistical test for equality in distribution of the two
+sides of a stream of measure-realization pairs.
 """
 
 import math
@@ -150,28 +150,26 @@ def ks_one_sample_threshold(alpha: float, n: int) -> float:
     return ks_critical(alpha) / math.sqrt(n)
 
 
-_PROJECTION_SEED = 0x1D6A09E667F3BCC9
-
-
 def distributions_equal(
-    measures_a: Iterable[ParticleMeasure],
-    measures_b: Iterable[ParticleMeasure],
+    pairs: Iterable[tuple[ParticleMeasure, ParticleMeasure]],
     deltas: Sequence[CylinderSet],
     replicas: int,
     alpha: float,
     *,
-    seed: int = _PROJECTION_SEED,
-    name: str = "distributions_equal",
+    seed: int,
+    name: str,
 ) -> StatReport:
-    """Test whether two streams of measure realizations agree in distribution.
+    """Test whether the two sides of a stream of realization pairs agree in distribution.
 
-    Reads the first ``replicas`` realizations of each stream (a shorter one
-    is refused), evaluates the vector of rectangle probabilities
-    ``(mu(delta_1), ..., mu(delta_n))`` for each, and runs a two-sample
-    Kolmogorov-Smirnov test on every coordinate and on one fixed random
-    linear combination of coordinates (coefficients drawn once from
-    ``seed``).  The statistic is the largest KS distance over those scalar
-    projections; the threshold is the asymptotic critical value at level ``alpha``.
+    Reads the first ``replicas`` pairs ``(mu_a, mu_b)`` of the stream (a
+    shorter one is refused, and no pair is still held when the next is
+    built), evaluates the vector of rectangle probabilities
+    ``(mu(delta_1), ..., mu(delta_n))`` for each measure, and runs a two-sample
+    Kolmogorov-Smirnov test of side a against side b on every coordinate and
+    on one fixed random linear combination of coordinates (coefficients drawn
+    once from ``seed``).  The statistic is the largest KS distance over those
+    scalar projections; the threshold is the asymptotic critical value at
+    level ``alpha``.
 
     This is a statistical check on a fixed finite family of rectangles, at a
     fixed level; it falsifies, it does not prove.
@@ -183,12 +181,15 @@ def distributions_equal(
     threshold = ks_two_sample_threshold(alpha, replicas, replicas)
 
     vec_a, vec_b = np.empty((2, replicas, len(deltas)))
-    r = -1
-    for r, mu_a, mu_b in zip(range(replicas), measures_a, measures_b):
+    pairs = iter(pairs)
+    for r in range(replicas):
+        try:
+            mu_a, mu_b = next(pairs)
+        except StopIteration:
+            raise ValueError(f"the pair stream ended after {r} of {replicas} replicas") from None
         vec_a[r] = [cylinder_prob(mu_a, d) for d in deltas]
         vec_b[r] = [cylinder_prob(mu_b, d) for d in deltas]
-    if r + 1 < replicas:
-        raise ValueError(f"a measure stream ended after {r + 1} of {replicas} replicas")
+        del mu_a, mu_b  # so that the next pair is built with this one freed
 
     coeffs = 2.0 * draw_unit(substream(seed, "projection"), np.arange(len(deltas))) - 1.0
     proj_a = np.column_stack([vec_a, (vec_a * coeffs).sum(axis=1)])

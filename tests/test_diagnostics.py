@@ -514,8 +514,8 @@ class TestGaussianPairSampler:
             CylinderSet(start=1, intervals=((-1.0, 0.0), (-1.0, 1.0))),
         ]
         report = distributions_equal(
-            gaussian_pair_sampler(0.8, 0.5, cfg), shifted, deltas,
-            replicas=cfg.sample_size, alpha=cfg.alpha,
+            zip(gaussian_pair_sampler(0.8, 0.5, cfg), shifted), deltas,
+            replicas=cfg.sample_size, alpha=cfg.alpha, seed=cfg.seed, name="pair",
         )
         assert report.passed
 
@@ -614,33 +614,33 @@ class TestGaussianPairSampler:
 
         assert peak(3000) < 1.2 * peak(300)
 
+    def test_no_finished_slice_is_alive_at_a_later_draw_of_the_suite(self, monkeypatch):
+        # the suite reads its pair stream one item at a time, so every slice
+        # whose items it has read is freed before the next slice is drawn;
+        # map holds no item, so the recorder keeps none alive itself
+        slices = []
+        live_at_draw = []
+        sampler, draw_normal = diagnostics.gaussian_pair_sampler, diagnostics.draw_normal
 
-class TestCopies:
-    def test_both_copies_read_every_item_in_any_order(self):
-        a, b = diagnostics._copies(iter(range(10)))
-        assert list(islice(b, 3)) == [0, 1, 2]
-        assert list(islice(a, 5)) == [0, 1, 2, 3, 4]
-        assert list(b) == list(range(3, 10))
-        assert list(a) == list(range(5, 10))
+        def record(mu):
+            if not slices or slices[-1]() is not mu.values.base:
+                slices.append(weakref.ref(mu.values.base))
+            return mu
 
-    def test_an_item_is_released_once_both_copies_read_it(self):
-        # itertools.tee keeps items in blocks of 57, and each pair item pins its slice
-        class Item:
-            pass
+        def watched(*args):
+            live_at_draw.append(sum(ref() is not None for ref in slices))
+            return draw_normal(*args)
 
-        refs = []
+        def recorded(*args):
+            return map(record, sampler(*args))
 
-        def items():
-            while True:
-                item = Item()
-                refs.append(weakref.ref(item))
-                yield item
-
-        a, b = diagnostics._copies(items())
-        for _ in range(100):
-            assert next(a) is next(b)
-        # only the stream's own last item is still referenced
-        assert [ref() is not None for ref in refs] == [False] * 99 + [True]
+        monkeypatch.setattr(diagnostics, "gaussian_pair_sampler", recorded)
+        monkeypatch.setattr(diagnostics, "draw_normal", watched)
+        cfg = config(sample_size=300, particle_count=200, seed=5, window=(0, 9))
+        conditional_law_suite(0.8, 0.5, cfg)
+        # 32 replicas per slice, so 300 replicas are 10 slices
+        assert len(slices) == 10
+        assert len(live_at_draw) > 10 and not any(live_at_draw)
 
 
 def test_every_built_measure_is_column_major():

@@ -1,6 +1,8 @@
 import cmath
+import inspect
 import itertools
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -302,6 +304,10 @@ class TestDistributionsEqual:
     def constant_stream(level: float):
         return itertools.repeat(ParticleMeasure(0, np.full((4, 2), level)))
 
+    @staticmethod
+    def report(pairs, deltas, replicas, alpha):
+        return distributions_equal(pairs, deltas, replicas, alpha, seed=7, name="test")
+
     def test_identical_seeds_trivially_pass(self):
         rng_rows = np.random.default_rng(5).random((8, 2))
 
@@ -309,15 +315,15 @@ class TestDistributionsEqual:
             return (ParticleMeasure(0, rng_rows + (r % 7) * 0.01) for r in itertools.count())
 
         deltas = [CylinderSet(0, ((0.0, 0.5),)), CylinderSet(1, ((0.2, 0.7),))]
-        report = distributions_equal(stream(), stream(), deltas, 120, 0.01)
+        report = self.report(zip(stream(), stream()), deltas, 120, 0.01)
         assert report.statistic == 0.0
         assert report.passed
+        assert (report.test_name, report.seed) == ("test", 7)
 
     def test_separated_point_masses_fail(self):
         deltas = [CylinderSet(0, ((0.0, 0.5),))]
-        report = distributions_equal(
-            self.constant_stream(0.0), self.constant_stream(1.0), deltas, 150, 0.01
-        )
+        pairs = zip(self.constant_stream(0.0), self.constant_stream(1.0))
+        report = self.report(pairs, deltas, 150, 0.01)
         assert report.statistic == 1.0
         assert not report.passed
 
@@ -333,7 +339,7 @@ class TestDistributionsEqual:
                 yield mu
 
         deltas = [CylinderSet(0, ((0.0, 0.5),))]
-        distributions_equal(counting("a"), counting("b"), deltas, 120, 0.01)
+        self.report(zip(counting("a"), counting("b")), deltas, 120, 0.01)
         assert taken == {"a": 120, "b": 120}
 
     @pytest.mark.parametrize("short_side", ["a", "b"])
@@ -348,22 +354,43 @@ class TestDistributionsEqual:
         streams[short_side] = itertools.repeat(mu, length)
         deltas = [CylinderSet(0, ((0.0, 0.5),))]
         with pytest.raises(ValueError, match=f"ended after {length} of 150 replicas"):
-            distributions_equal(streams["a"], streams["b"], deltas, 150, 0.01)
+            self.report(zip(streams["a"], streams["b"]), deltas, 150, 0.01)
 
     def test_parameter_validation(self):
         deltas = [CylinderSet(0, ((0.0, 0.5),))]
-        a, b = self.constant_stream(0.0), self.constant_stream(0.0)
+        pairs = zip(self.constant_stream(0.0), self.constant_stream(0.0))
         with pytest.raises(ValueError):
-            distributions_equal(a, b, deltas, 99, 0.01)
+            self.report(pairs, deltas, 99, 0.01)
         with pytest.raises(ValueError):
-            distributions_equal(a, b, [], 150, 0.01)
+            self.report(pairs, [], 150, 0.01)
 
         def never_drawn():
             raise AssertionError("a replica was drawn before alpha was checked")
             yield
 
         with pytest.raises(ValueError, match="alpha"):
-            distributions_equal(never_drawn(), never_drawn(), deltas, 150, 1.5)
+            self.report(never_drawn(), deltas, 150, 1.5)
+
+    def test_seed_and_name_are_required_keywords(self):
+        params = inspect.signature(distributions_equal).parameters
+        for name in ("seed", "name"):
+            assert params[name].kind is inspect.Parameter.KEYWORD_ONLY
+            assert params[name].default is inspect.Parameter.empty
+
+    def test_no_earlier_pair_is_alive_while_the_next_is_built(self):
+        # the pair stream is a map, which holds no item, so any reference to
+        # pair r - 1 while pair r is built is one that distributions_equal kept
+        refs = []
+        alive_at_build = []
+
+        def build(r):
+            alive_at_build.append([ref() is not None for ref in refs])
+            pair = tuple(ParticleMeasure(0, np.full((4, 2), 0.1 * side)) for side in (1, 2))
+            refs[:] = [weakref.ref(mu) for mu in pair]
+            return pair
+
+        self.report(map(build, range(120)), [CylinderSet(0, ((0.0, 0.5),))], 120, 0.01)
+        assert alive_at_build == [[]] + [[False, False]] * 119
 
 
 class TestKsThresholds:
